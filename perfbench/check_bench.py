@@ -25,7 +25,7 @@ RUN = os.path.join(HERE, "run.py")
 OUT = os.path.join(ROOT, ".perfbench_out")
 WORKLOADS = ("long_mpdr", "gjbf_auto", "short_scored")
 SEED = 7
-TINY = ["--seed", str(SEED), "--seconds", "0.5", "--scale", "0.1", "--setup-runs", "1"]
+TINY = ["--seed", str(SEED), "--seconds", "0.5", "--scale", "0.1"]
 MODULES = ("blockthresh", "dsp", "gjbf", "metrics", "mpdr", "pipeline", "simulate", "wav")
 
 
@@ -99,6 +99,7 @@ def test_named_metrics_are_declared():
 def test_wall_clock_and_quality_fields_printed(runs, workload):
     lines, record = runs[workload, 0]
     for name, unit in (
+        ("setup_wall_s", "s"),
         ("audio_s_per_s", "s/s"),
         ("rtf_p50", "s/s"),
         ("rtf_p90", "s/s"),
@@ -110,7 +111,8 @@ def test_wall_clock_and_quality_fields_printed(runs, workload):
         ("sinr_gain_db", "dB"),
     ):
         assert any(line.startswith(f"{name} = ") and line.endswith(f" {unit}") for line in lines), name
-    assert record["error_rate"] == 0.0 and record["attempted"] == record["rtf_samples"]
+    assert record["error_rate"] == 0.0
+    assert record["attempted"] == record["rtf_samples"] + record["scoring_reruns"]
     assert record["environment"]["threads"]["OPENBLAS_NUM_THREADS"] == "1"
     assert record["mse_db"] == -json.loads(lines[-1])["metrics"]["neg_mse_db"]["value"]
 
@@ -170,3 +172,28 @@ def test_fails_without_sources(tmp_path):
     )
     assert proc.returncode != 0
     assert '"metrics"' not in proc.stdout
+
+
+def test_failing_scene_is_counted_and_reported(monkeypatch, capsys):
+    """An operation whose output fails its check every time (here: all of
+    scene 0's) is counted as failed, and the run still ends with a result."""
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "src"))
+    monkeypatch.syspath_prepend(HERE)
+    import run
+    import workloads
+
+    for var in run.THREAD_VARS:  # run() pins them; restore them afterwards
+        monkeypatch.setenv(var, os.environ.get(var, "1"))
+    original = workloads.LongMpdr.check
+
+    def check(self, out):
+        return "injected failure" if out.scene_index == 0 else original(self, out)
+
+    monkeypatch.setattr(workloads.LongMpdr, "check", check)
+    assert run.main(["--workload", "long_mpdr", "--trace", "0", *TINY]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    last = json.loads(lines[-1])
+    assert last["correct"] is False
+    assert 0 < last["failed"] < last["attempted"]
+    assert set(last["metrics"]) == {m["name"] for m in _spec()["end_to_end"]}
+    assert "osinr_db = n/a dB" in lines

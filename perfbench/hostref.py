@@ -1,4 +1,4 @@
-"""Reference work timed next to every operation, to factor out host speed.
+"""Reference work timed next to every operation and set-up, to factor out host speed.
 
 A 2-vCPU Intel Xeon virtual machine shared with other tenants changes speed
 by up to a third over windows of 5 to 20 s. No time
@@ -14,6 +14,15 @@ recording it changed little. An FFT-only kernel tracked both workloads
 better than kernels with interpreted small-array work or large streaming
 arrays. The kernel does not touch audiozoom, so no change to the package
 moves the reference.
+
+Set-up time is scaled by a second reference, a pure-Python loop, because
+set-up is mostly interpreter work: starting Python, imports and input
+generation. In 10 minutes of back-to-back long_mpdr set-ups (250 of them),
+with each divided by the reference time measured right before and right
+after it, the medians of five consecutive set-ups spread by 7.5% (quartile
+distance over median) with this loop, by 9% with the FFT kernel, and by
+20% in plain wall-clock seconds. The host switched between a fast and a
+slow speed several times in those minutes.
 """
 
 from __future__ import annotations
@@ -46,3 +55,15 @@ class HostReference:
             self._kernel()
             best = min(best, time.perf_counter() - t0)
         return best
+
+
+def interpreter_reference(repeats: int = 3) -> float:
+    """Seconds taken by the fastest of `repeats` runs of a pure-Python loop."""
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        total = 0
+        for i in range(30000):
+            total += i * i
+        best = min(best, time.perf_counter() - t0)
+    return best

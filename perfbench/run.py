@@ -48,7 +48,13 @@ THREAD_VARS = (
     "VECLIB_MAXIMUM_THREADS",
     "NUMEXPR_NUM_THREADS",
 )
-SETUP_RUNS = 3  # fresh processes whose set-up time is measured; the median is reported
+# Fresh processes whose set-up time is measured; the median is reported.
+# The host's speed drifts over windows of seconds, so the probes are split
+# between before and after the timed loop, about half a minute apart.
+SETUP_RUNS_BEFORE, SETUP_RUNS_AFTER = 2, 3
+# setup_s is scaled to a host on which hostref.interpreter_reference takes
+# this long; this 2-vCPU virtual machine took 1.8-2.6 ms (see README.md).
+SETUP_REF_S = 0.002
 PROBE_TIMEOUT_S = 150
 
 E2E_METRICS = {
@@ -62,6 +68,7 @@ E2E_METRICS = {
 P90_MIN_SAMPLES = 100
 # Printed by name and unit after the metrics, not gated (see README.md).
 INFO_FIELDS = {
+    "setup_wall_s": "s",
     "audio_s_per_s": "s/s",
     "rtf_p50": "s/s",
     "rtf_p90": "s/s",
@@ -164,15 +171,17 @@ def _attempt(fn, *args) -> tuple:
 def run_ops(workload, host, seconds: float, scores: dict, start: int = 0, tracer=None) -> list:
     """Closed loop: each operation starts when the previous one has returned.
 
-    It runs whole passes over the scene pool until `seconds` have passed, so
-    every scene weighs the same in the figures and per-operation work counts
-    repeat exactly. The first output of each scene is scored into `scores`,
-    outside the operation's wall time. The host reference is timed between
+    It runs whole passes over the scene pool, so every scene weighs the same
+    in the figures and per-operation work counts repeat exactly, and stops
+    at the end of the pass nearest to `seconds` (after one pass at least).
+    The first output of each scene is scored into `scores`, outside the
+    operation's wall time. The host reference is timed between
     operations, also outside their wall time.
     """
     op = workload.op if tracer is None else functools.partial(tracer.run_op, workload.op)
     records = []
-    deadline = time.perf_counter() + seconds
+    pass_start = time.perf_counter()
+    deadline = pass_start + seconds
     index = start
     ref_before = host.measure()
     while True:
@@ -190,8 +199,11 @@ def run_ops(workload, host, seconds: float, scores: dict, start: int = 0, tracer
         else:
             print(f"op {index} failed: {error}", file=sys.stderr)
         index += 1
-        if (index - start) % workload.n_scenes == 0 and time.perf_counter() >= deadline:
-            return records
+        if (index - start) % workload.n_scenes == 0:
+            now = time.perf_counter()
+            if now + (now - pass_start) / 2 >= deadline:
+                return records
+            pass_start = now
 
 
 def _score_first(workload, out, scores: dict) -> None:
@@ -210,23 +222,28 @@ def throughput(workload, records, unit: str = "wall_s") -> float:
     return len(ok) * workload.audio_s / sum(ok) if ok else 0.0
 
 
-def probe_setup(args) -> list:
-    """Set-up time of SETUP_RUNS fresh processes, from spawn to ready-for-first-op."""
+def probe_setup(args, runs: int) -> list:
+    """Set-up of `runs` fresh processes: (seconds from spawn to ready for the
+    first operation, interpreter reference seconds around it) for each."""
+    import hostref
+
     samples = []
-    for k in range(args.setup_runs):
+    for _ in range(runs):
         command = [
             sys.executable,
             os.path.abspath(__file__),
             "--workload", args.workload,
             "--seed", str(args.seed),
             "--scale", repr(args.scale),
-            "--setup-probe", os.path.join(OUT_DIR, "work", f"probe{os.getpid()}_{k}"),
+            "--setup-probe", os.path.join(OUT_DIR, "work", f"probe{os.getpid()}"),
         ]  # fmt: skip
+        ref_before = hostref.interpreter_reference()
         t0 = time.perf_counter()
         proc = subprocess.run(command, capture_output=True, text=True, timeout=PROBE_TIMEOUT_S)
         if proc.returncode != 0 or not proc.stdout.startswith("ready "):
             raise BenchError(f"set-up probe failed ({proc.returncode}): {proc.stderr[-2000:]}")
-        samples.append(float(proc.stdout.split()[1]) - t0)
+        wall = float(proc.stdout.split()[1]) - t0
+        samples.append((wall, (ref_before + hostref.interpreter_reference()) / 2))
     return samples
 
 
@@ -256,6 +273,11 @@ def _quantile(values, q: int) -> float:
     return statistics.quantiles(values, n=100, method="inclusive")[q - 1]
 
 
+def _main_workdir() -> str:
+    """Where the benchmark process keeps its generated input files."""
+    return os.path.join(OUT_DIR, "work", f"main{os.getpid()}")
+
+
 def run(args) -> tuple:
     """Run one benchmark; returns (summary for the last line, full result record)."""
     started = time.perf_counter()
@@ -264,9 +286,9 @@ def run(args) -> tuple:
     import hostref
     from workloads import WORKLOADS
 
-    workdir = os.path.join(OUT_DIR, "work", f"main{os.getpid()}")
+    workdir = _main_workdir()
     os.makedirs(workdir, exist_ok=True)
-    setup_samples = probe_setup(args) if args.trace == 0 else []
+    setup_samples = probe_setup(args, SETUP_RUNS_BEFORE) if args.trace == 0 else []
 
     workload = WORKLOADS[args.workload](args.seed, workdir, args.scale)
     workload.setup()
@@ -288,28 +310,34 @@ def run(args) -> tuple:
         finally:
             tracer.remove()
 
-    # Scenes the time limit left unvisited are still scored, outside the timing.
-    for k in range(workload.n_scenes):
-        if k not in by_scene:
-            out = workload.op(k)
-            error = workload.check(out)
-            if error:
-                raise RuntimeError(f"untimed scoring op {k} failed: {error}")
-            _score_first(workload, out, by_scene)
-    scores = [by_scene[k] for k in range(workload.n_scenes)]
-    if "osinr_db" not in scores[0]:
-        scores[0].update(workload.frozen_stage_scores(scores[0].pop("output")))
-    scores[0].pop("output", None)
+    # Read before scoring: the frozen-stage re-run below holds a whole
+    # ZoomResult and the scorer's own arrays, which are not the operations'.
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+    if args.trace == 0:
+        setup_samples += probe_setup(args, SETUP_RUNS_AFTER)
+
+    # Only scenes with a successful output are scored. The frozen-stage
+    # re-run of scene 0 is one more, untimed, attempted operation.
+    scores = [by_scene[k] for k in sorted(by_scene)]
+    reruns = rerun_failed = 0
+    if by_scene.get(0, {}).get("output") is not None:
+        reruns = 1
+        frozen_scores, error = _attempt(workload.frozen_stage_scores, by_scene[0].pop("output"))
+        if error is None:
+            by_scene[0].update(frozen_scores)
+        else:
+            rerun_failed = 1
+            print(f"scoring re-run of scene 0 failed: {error}", file=sys.stderr)
     frozen = [s for s in scores if "osinr_db" in s]
-    shutil.rmtree(workdir, ignore_errors=True)
 
     all_records = records + traced
-    failed = sum(r.error is not None for r in all_records)
-    attempted = len(all_records)
+    failed = sum(r.error is not None for r in all_records) + rerun_failed
+    attempted = len(all_records) + reruns
     ok = [r for r in records if r.error is None]
     rtfs = sorted(r.wall_s / workload.audio_s for r in ok)
     rtf_refs = sorted(r.refs / workload.audio_s for r in ok)
-    mse_db = statistics.fmean(s["mse_db"] for s in scores)
+    mse_db = statistics.fmean(s["mse_db"] for s in scores) if scores else None
     info = {
         "workload": args.workload,
         "seed": args.seed,
@@ -329,24 +357,28 @@ def run(args) -> tuple:
         "op_walls_s": [r.wall_s for r in all_records],
         "op_ref_s": [r.ref_s for r in all_records],
         "mse_db": mse_db,
-        "osinr_db": statistics.fmean(s["osinr_db"] for s in frozen),
-        "sinr_gain_db": statistics.fmean(s["sinr_gain_db"] for s in frozen),
+        "osinr_db": statistics.fmean(s["osinr_db"] for s in frozen) if frozen else None,
+        "sinr_gain_db": statistics.fmean(s["sinr_gain_db"] for s in frozen) if frozen else None,
         "frozen_stage_scenes": len(frozen),
+        "scoring_reruns": reruns,
+        "peak_rss_mb": peak_rss_mb,
+        "peak_rss_after_scoring_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "chosen_filter_lengths": [s["filter_length"] for s in scores],
         "per_scene_scores": scores,
         "process_setup_s": own_setup,
-        "setup_samples_s": setup_samples,
+        "setup_wall_s": statistics.median(w for w, _ in setup_samples) if setup_samples else None,
+        "setup_probes_s": setup_samples,  # (wall, interpreter reference) per probe
         "environment": environment(threads),
     }
     correct = failed == 0
 
     if args.trace == 0:
         values = {
-            "setup_s": statistics.median(setup_samples),
+            "setup_s": statistics.median(w * SETUP_REF_S / ref for w, ref in setup_samples),
             "audio_s_per_ref": throughput(workload, records, "refs"),
             "rtf_ref_p50": _quantile(rtf_refs, 50),
-            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-            "neg_mse_db": -mse_db,
+            "peak_rss_mb": peak_rss_mb,
+            "neg_mse_db": -mse_db if scores else 0.0,
         }
         units = E2E_METRICS
     else:
@@ -404,15 +436,14 @@ def parse_args(argv=None):
     parser.add_argument("--seed", type=int, default=1, help="workload seed, >= 0 (default 1)")
     parser.add_argument("--seconds", type=float, default=25.0, help="measured time per run")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    # Test hooks: shrink every scene, and the number of set-up probes.
+    # Test hook: shrink every scene.
     parser.add_argument("--scale", type=float, default=1.0, help=argparse.SUPPRESS)
-    parser.add_argument("--setup-runs", type=int, default=SETUP_RUNS, help=argparse.SUPPRESS)
     parser.add_argument("--setup-probe", default=None, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.seed < 0:
         parser.error("--seed must be >= 0")
-    if args.seconds <= 0 or args.scale <= 0 or args.setup_runs < 1:
-        parser.error("--seconds, --scale and --setup-runs must be positive")
+    if args.seconds <= 0 or args.scale <= 0:
+        parser.error("--seconds and --scale must be positive")
     return args
 
 
@@ -425,6 +456,9 @@ def main(argv=None) -> int:
     except BenchError as exc:
         print(f"perfbench: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if not args.setup_probe:
+            shutil.rmtree(_main_workdir(), ignore_errors=True)
     os.makedirs(OUT_DIR, exist_ok=True)
     path = os.path.join(OUT_DIR, f"result_{args.workload}_seed{args.seed}_trace{args.trace}.json")
     with open(path, "w", encoding="utf-8") as handle:
