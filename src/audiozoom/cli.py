@@ -9,18 +9,20 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
+from operator import attrgetter
 
 import numpy as np
 
-from .blockthresh import BlockThresholdParams
-from .dsp import AudioBuffer, StftParams
-from .gjbf import GjbfConfig, select_filter_length
+from .dsp import WINDOW_KINDS, AudioBuffer
+from .gjbf import select_filter_length
 from .metrics import EvalReport, build_report, mse_db, osinr_db, project_onto_reference
-from .pipeline import DEFAULT_SWEEP_LENGTHS, PipelineConfig, normalize_peak, run_zoom
+from .pipeline import BEAMFORMERS, DEFAULT_SWEEP_LENGTHS, PipelineConfig, normalize_peak, run_zoom
 from .simulate import (
     MixtureSpec,
     SourceSpec,
     echo_taps_for_t60,
+    key_value_lines,
     parse_scenario,
     synthesize_mixture,
     two_mic_array,
@@ -58,147 +60,117 @@ def _parse_macro(text: str) -> tuple:
 
 def _parse_lengths(text: str) -> tuple:
     try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
+        lengths = tuple(int(part) for part in text.split(",") if part.strip())
+    except ValueError:
+        lengths = ()
+    if not lengths:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return lengths
 
 
-_CONFIG_CASTS = {
-    "beamformer": str,
-    "stft_frame": int,
-    "stft_hop": int,
-    "stft_window": str,
-    "mpdr_alpha": float,
-    "gjbf_length": str,
-    "gjbf_mu": float,
-    "gjbf_block": int,
-    "gjbf_leak": float,
-    "gjbf_sweep": str,
-    "bt_enabled": _parse_bool,
-    "bt_macro": _parse_macro,
-    "bt_h": int,
-    "bt_threshold": float,
-    "seed": int,
-}
+def _one_of(choices):
+    def parse_choice(text: str) -> str:
+        if text not in choices:
+            raise argparse.ArgumentTypeError(f"expected one of {', '.join(choices)}, got {text!r}")
+        return text
+    return parse_choice
+
+
+def _or_keyword(parse, keyword: str, value):
+    """parse, except that keyword (in any case) gives value."""
+    def parse_or_keyword(text: str):
+        return value if text.strip().lower() == keyword else parse(text)
+    parse_or_keyword.__name__ = parse.__name__  # argparse names the type in its messages
+    return parse_or_keyword
+
+
+# One row per pipeline setting: config-file key, flag, parser, and the
+# PipelineConfig field it sets ("section.field" inside a nested dataclass;
+# bt_macro sets two). Defaults are read from PipelineConfig(), not written here.
+_SETTINGS = (
+    ("beamformer", "--beamformer", _one_of(BEAMFORMERS), "beamformer"),
+    ("stft_frame", "--stft-frame", int, "stft.frame_length"),
+    ("stft_hop", "--stft-hop", int, "stft.hop_length"),
+    ("stft_window", "--stft-window", _one_of(WINDOW_KINDS), "stft.window"),
+    ("mpdr_alpha", "--mpdr-alpha", _or_keyword(float, "none", None), "mpdr_alpha"),
+    ("gjbf_length", "--gjbf-length", _or_keyword(int, "auto", "auto"), "gjbf.filter_length"),
+    ("gjbf_mu", "--gjbf-mu", float, "gjbf.step_size"),
+    ("gjbf_block", "--gjbf-block", _or_keyword(int, "none", None), "gjbf.block_size"),
+    ("gjbf_leak", "--gjbf-leak", float, "gjbf.leak"),
+    ("gjbf_sweep", "--gjbf-sweep", _parse_lengths, "gjbf_auto_lengths"),
+    ("bt_enabled", "--bt-enabled", _parse_bool, "bt_enabled"),
+    ("bt_macro", "--bt-macro", _parse_macro, "bt.macro_frames bt.macro_bins"),
+    ("bt_h", "--bt-H", int, "bt.levels"),
+    ("bt_threshold", "--bt-threshold", float, "bt.snr_threshold"),
+)
+_PARSERS = {key: parse for key, _, parse, _ in _SETTINGS}
+
+
+def _default_settings() -> dict:
+    config = PipelineConfig()
+    settings = {key: attrgetter(*fields.split())(config) for key, _, _, fields in _SETTINGS}
+    settings["gjbf_sweep"] = DEFAULT_SWEEP_LENGTHS  # PipelineConfig() leaves the sweep unset
+    return settings
 
 
 def _read_config_file(path) -> dict:
     values = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DataError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_CASTS:
-                raise DataError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                values[key] = _CONFIG_CASTS[key](value)
-            except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
+    for where, key, value in key_value_lines(path):
+        if key not in _PARSERS:
+            raise DataError(f"{where}: unknown key {key!r}")
+        try:
+            values[key] = _PARSERS[key](value)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise DataError(f"{where}: {key}: {exc}") from exc
     return values
 
 
 def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value config file; flags override it")
-    parser.add_argument("--beamformer", choices=("mpdr", "gjbf"))
-    parser.add_argument("--stft-frame", type=int, dest="stft_frame")
-    parser.add_argument("--stft-hop", type=int, dest="stft_hop")
-    parser.add_argument("--stft-window", choices=("hann", "sqrt_hann", "rect"), dest="stft_window")
-    parser.add_argument("--mpdr-alpha", type=float, dest="mpdr_alpha",
-                        help="fixed diagonal loading (default: scaled per bin)")
-    parser.add_argument("--gjbf-length", dest="gjbf_length",
-                        help="adaptive filter length in taps, or 'auto'")
-    parser.add_argument("--gjbf-mu", type=float, dest="gjbf_mu")
-    parser.add_argument("--gjbf-block", type=int, dest="gjbf_block")
-    parser.add_argument("--gjbf-leak", type=float, dest="gjbf_leak")
-    parser.add_argument("--gjbf-sweep", dest="gjbf_sweep",
-                        help="comma-separated candidate lengths for 'auto'")
-    parser.add_argument("--bt-enabled", type=_parse_bool, dest="bt_enabled")
-    parser.add_argument("--bt-macro", type=_parse_macro, dest="bt_macro",
-                        help="macro-block size as PxQ (frames x bins)")
-    parser.add_argument("--bt-H", type=int, dest="bt_h",
-                        help="log2 of the sub-block cell count")
-    parser.add_argument("--bt-threshold", type=float, dest="bt_threshold")
-    parser.add_argument("--seed", type=int)
-
-
-_DEFAULTS = {
-    "beamformer": "mpdr",
-    "stft_frame": 512,
-    "stft_hop": 256,
-    "stft_window": "sqrt_hann",
-    "mpdr_alpha": None,
-    "gjbf_length": "250",
-    "gjbf_mu": 0.05,
-    "gjbf_block": None,
-    "gjbf_leak": 0.0,
-    "gjbf_sweep": ",".join(str(l) for l in DEFAULT_SWEEP_LENGTHS),
-    "bt_enabled": True,
-    "bt_macro": (8, 16),
-    "bt_h": 4,
-    "bt_threshold": 1.0,
-    "seed": 0,
-}
+    defaults = _default_settings()
+    for key, flag, parse, fields in _SETTINGS:
+        help_text = f"sets {fields} (default {_show(key, defaults[key])})"
+        parser.add_argument(flag, type=parse, dest=key, default=argparse.SUPPRESS, help=help_text)
 
 
 def _effective_settings(args) -> dict:
-    settings = dict(_DEFAULTS)
-    if getattr(args, "config", None):
+    """Defaults, then the --config file, then the flags given."""
+    settings = _default_settings()
+    if args.config:
         settings.update(_read_config_file(args.config))
-    for key in _DEFAULTS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            settings[key] = flag
+    settings.update((key, getattr(args, key)) for key in _PARSERS if hasattr(args, key))
     return settings
 
 
 def _settings_to_config(settings: dict) -> PipelineConfig:
-    stft_params = StftParams(
-        frame_length=settings["stft_frame"],
-        hop_length=settings["stft_hop"],
-        window=settings["stft_window"],
-    )
-    macro_frames, macro_bins = settings["bt_macro"]
-    bt = BlockThresholdParams(
-        macro_frames=macro_frames,
-        macro_bins=macro_bins,
-        levels=settings["bt_h"],
-        snr_threshold=settings["bt_threshold"],
-    )
-    length_text = str(settings["gjbf_length"]).strip().lower()
-    auto_lengths = None
-    if length_text == "auto":
-        auto_lengths = _parse_lengths(str(settings["gjbf_sweep"]))
-        filter_length = auto_lengths[0]
+    fields = {}  # PipelineConfig field ("section.field" when nested) -> value
+    for key, _, _, names in _SETTINGS:
+        names = names.split()
+        fields.update(zip(names, settings[key] if len(names) > 1 else [settings[key]]))
+    if fields["gjbf.filter_length"] == "auto":  # run_zoom sweeps, then uses the best length
+        fields["gjbf.filter_length"] = fields["gjbf_auto_lengths"][0]
     else:
-        filter_length = int(length_text)
-    gjbf = GjbfConfig(
-        filter_length=filter_length,
-        step_size=settings["gjbf_mu"],
-        block_size=settings["gjbf_block"],
-        leak=settings["gjbf_leak"],
-    )
-    return PipelineConfig(
-        beamformer=settings["beamformer"],
-        stft=stft_params,
-        mpdr_alpha=settings["mpdr_alpha"],
-        gjbf=gjbf,
-        gjbf_auto_lengths=auto_lengths,
-        bt=bt,
-        bt_enabled=settings["bt_enabled"],
-        seed=settings["seed"],
-    )
+        fields["gjbf_auto_lengths"] = None
+    top, nested = {}, {}
+    for name, value in fields.items():
+        section, _, field_name = name.rpartition(".")
+        (nested.setdefault(section, {}) if section else top)[field_name] = value
+    defaults = PipelineConfig()
+    for section, values in nested.items():
+        top[section] = replace(getattr(defaults, section), **values)
+    return PipelineConfig(**top)
+
+
+def _show(key: str, value) -> str:
+    """A setting as echoed and as read back from a config file."""
+    if isinstance(value, tuple):
+        return ("x" if key == "bt_macro" else ",").join(str(v) for v in value)
+    return str(value)
 
 
 def _echo_settings(settings: dict) -> None:
     for key in sorted(settings):
-        value = settings[key]
-        if key == "bt_macro":
-            value = f"{value[0]}x{value[1]}"
-        print(f"config {key}={value}")
+        print(f"config {key}={_show(key, settings[key])}")
 
 
 def _write_matrix_csv(path, matrix: np.ndarray, fmt: str = "{:.6e}") -> None:
@@ -225,18 +197,12 @@ def _load_mono(path) -> AudioBuffer:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        scenario = parse_scenario(args.scenario)
-    except (OSError, ValueError) as exc:
-        raise DataError(str(exc)) from exc
-    try:
-        target = SourceSpec(scenario.target_azimuth, _load_mono(scenario.target_path), "target")
-        interferers = tuple(
-            SourceSpec(azimuth, _load_mono(path), "interference")
-            for path, azimuth in scenario.interferers
-        )
-    except OSError as exc:
-        raise DataError(str(exc)) from exc
+    scenario = parse_scenario(args.scenario)
+    target = SourceSpec(scenario.target_azimuth, _load_mono(scenario.target_path), "target")
+    interferers = tuple(
+        SourceSpec(azimuth, _load_mono(path), "interference")
+        for path, azimuth in scenario.interferers
+    )
     echo_taps = ()
     if scenario.echo_t60_ms is not None:
         echo_taps = echo_taps_for_t60(scenario.echo_t60_ms / 1000.0)
@@ -273,7 +239,10 @@ def cmd_zoom(args) -> int:
     mixture = _load_stereo(args.input)
     _echo_settings(settings)
 
-    result = run_zoom(mixture, config)
+    try:
+        result = run_zoom(mixture, config)
+    except RuntimeError as exc:  # the GJBF adaptive filter diverged
+        raise DataError(str(exc)) from exc
     if result.sweep_curve is not None:
         print(f"chosen_length={result.gjbf_config_used.filter_length}")
     normalized, gain = normalize_peak(result.output)
@@ -336,15 +305,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    settings = _effective_settings(args)
-    config = _settings_to_config(settings)
-    lengths = _parse_lengths(args.lengths)
-    if len(lengths) < 2:
-        raise DataError("need at least two candidate lengths")
+    config = _settings_to_config(_effective_settings(args))
     mixture = _load_stereo(args.input)
-    best, curve = select_filter_length(
-        mixture.channel(0), mixture.channel(1), lengths, config.gjbf, config.stft
-    )
+    try:
+        best, curve = select_filter_length(
+            mixture.channel(0), mixture.channel(1), args.lengths, config.gjbf, config.stft
+        )
+    except RuntimeError as exc:  # every candidate's adaptive filter diverged
+        raise DataError(str(exc)) from exc
     out_path = args.out or "sweep.csv"
     with open(out_path, "w", encoding="utf-8") as handle:
         handle.write("length,mean_sinr_db\n")
@@ -381,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="sweep adaptive filter lengths")
     sweep.add_argument("input", help="2-channel WAV")
-    sweep.add_argument("--lengths", required=True, help="comma-separated candidate lengths")
+    sweep.add_argument("--lengths", required=True, type=_parse_lengths,
+                       help="comma-separated candidate lengths")
     sweep.add_argument("--out", help="CSV output path (default sweep.csv)")
     _add_pipeline_flags(sweep)
     sweep.set_defaults(func=cmd_sweep)
@@ -393,10 +362,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DataError as exc:
-        print(f"audiozoom: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (DataError, OSError, ValueError) as exc:
         print(f"audiozoom: {exc}", file=sys.stderr)
         return 2
 

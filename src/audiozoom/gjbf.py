@@ -14,11 +14,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .blockthresh import residual_variance
+from .blockthresh import SNR_CAP, VARIANCE_FLOOR_FACTOR, residual_variance
 from .dsp import AudioBuffer, Spectrogram, StftParams, stft
 
-SINR_CAP = 1e6
-SINR_FLOOR_FACTOR = 1e-12
+POWER_SMOOTHING = 0.9  # per-block forgetting factor of the normalizing power estimate
+DIVERGENCE_LIMIT = 1e6  # largest tap magnitude before the run counts as diverged
 
 
 @dataclass(frozen=True)
@@ -38,9 +38,6 @@ class GjbfConfig:
     leak: float = 0.0
     alignment_delay: int | None = None
     normalized: bool = True
-    constrain_gradient: bool = True
-    power_smoothing: float = 0.9
-    divergence_limit: float = 1e6
 
     def __post_init__(self):
         if self.filter_length < 1:
@@ -53,8 +50,6 @@ class GjbfConfig:
             raise ValueError("leak must be in [0, 1]")
         if self.alignment_delay is not None and self.alignment_delay < 0:
             raise ValueError("alignment_delay must be nonnegative")
-        if not 0.0 <= self.power_smoothing < 1.0:
-            raise ValueError("power_smoothing must be in [0, 1)")
 
     @property
     def block(self) -> int:
@@ -127,7 +122,7 @@ def fdaf_gjbf(ch1: AudioBuffer, ch2: AudioBuffer, config: GjbfConfig = GjbfConfi
     power = np.zeros(nfft)
     history = np.zeros(L)
     estimate = np.zeros(padded)
-    gamma = config.power_smoothing
+    gamma = POWER_SMOOTHING
     # Scale-invariant floor: keeps near-silent blocks (or bins) from blowing
     # up the normalized step while vanishing identically for a zero reference.
     power_floor = 1e-4 * nfft * float(np.mean(reference**2))
@@ -147,16 +142,15 @@ def fdaf_gjbf(ch1: AudioBuffer, ch2: AudioBuffer, config: GjbfConfig = GjbfConfi
             block_power = np.abs(spectrum) ** 2
             power = block_power if k == 0 else gamma * power + (1.0 - gamma) * block_power
             grad = grad / (power + power_floor + 1e-300)
-        if config.constrain_gradient:
-            # Project out the circular-correlation wraparound before updating.
-            grad_time = np.fft.ifft(grad).real
-            grad_time[L:] = 0.0
-            grad = np.fft.fft(grad_time)
+        # Project out the circular-correlation wraparound before updating.
+        grad_time = np.fft.ifft(grad).real
+        grad_time[L:] = 0.0
+        grad = np.fft.fft(grad_time)
         weights = (1.0 - config.leak) * weights + config.step_size * grad
         history = frame[B:]
 
         taps = np.fft.ifft(weights).real[:L]
-        if not np.all(np.isfinite(taps)) or np.abs(taps).max() > config.divergence_limit:
+        if not np.all(np.isfinite(taps)) or np.abs(taps).max() > DIVERGENCE_LIMIT:
             raise RuntimeError("step size too large")
 
     z = desired - estimate
@@ -176,8 +170,8 @@ def fdaf_gjbf(ch1: AudioBuffer, ch2: AudioBuffer, config: GjbfConfig = GjbfConfi
 def sinr_map(z: Spectrogram | np.ndarray, sigma2: np.ndarray) -> np.ndarray:
     """Per-cell SINR estimate (|Z|^2 - sigma^2) / sigma^2, floored at 0.
 
-    Cells whose variance sits below 1e-12 of the mean output power get the
-    SINR_CAP sentinel; everything is clipped to [0, SINR_CAP].
+    Cells whose variance sits below VARIANCE_FLOOR_FACTOR of the mean output
+    power get the SNR_CAP sentinel; everything is clipped to [0, SNR_CAP].
     """
     coeffs = z.coefficients if isinstance(z, Spectrogram) else np.asarray(z)
     power = np.abs(coeffs) ** 2 if np.iscomplexobj(coeffs) else coeffs.astype(np.float64)
@@ -186,23 +180,18 @@ def sinr_map(z: Spectrogram | np.ndarray, sigma2: np.ndarray) -> np.ndarray:
         raise ValueError("dimensions must match")
     if np.any(sigma2 < 0):
         raise ValueError("variance map must be nonnegative")
-    floor = max(SINR_FLOOR_FACTOR * float(power.mean()), 1e-300)
+    floor = max(VARIANCE_FLOOR_FACTOR * float(power.mean()), 1e-300)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.clip((power - sigma2) / sigma2, 0.0, SINR_CAP)
-    return np.where(sigma2 < floor, SINR_CAP, ratio)
-
-
-def _sinr_floor_mask(z_power: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
-    floor = max(SINR_FLOOR_FACTOR * float(z_power.mean()), 1e-300)
-    return sigma2 >= floor
+        ratio = np.clip((power - sigma2) / sigma2, 0.0, SNR_CAP)
+    return np.where(sigma2 < floor, SNR_CAP, ratio)
 
 
 def mean_sinr_db(z: Spectrogram, sigma2: np.ndarray) -> float:
     """Scalar SINR score: mean over valid cells of 10*log10(1 + SINR)."""
     power = np.abs(z.coefficients) ** 2
-    valid = _sinr_floor_mask(power, sigma2)
+    valid = sigma2 >= max(VARIANCE_FLOOR_FACTOR * float(power.mean()), 1e-300)
     if not valid.any():
-        return float(10.0 * np.log10(1.0 + SINR_CAP))
+        return float(10.0 * np.log10(1.0 + SNR_CAP))
     ratio = sinr_map(z, sigma2)
     return float(np.mean(10.0 * np.log10(1.0 + ratio[valid])))
 

@@ -9,7 +9,7 @@ import numpy as np
 from .dsp import Spectrogram
 from .simulate import ArrayGeometry, steering_vector
 
-DEFAULT_LOADING_FACTOR = 1e-2
+LOADING_FACTOR = 1e-2
 
 
 @dataclass
@@ -92,9 +92,9 @@ def mpdr_weights(cov: BinCovariance, steering: np.ndarray, alpha: float) -> np.n
     return num / den
 
 
-def scaled_loading(cov: BinCovariance, factor: float = DEFAULT_LOADING_FACTOR) -> float:
-    """Loading proportional to the mean channel power: factor * trace(R)/2."""
-    return float(factor * np.real(np.trace(cov.matrix)) / 2.0)
+def scaled_loading(cov: BinCovariance) -> float:
+    """Loading proportional to the mean channel power: LOADING_FACTOR * trace(R)/2."""
+    return float(LOADING_FACTOR * np.real(np.trace(cov.matrix)) / 2.0)
 
 
 def steering_for_bins(
@@ -109,14 +109,13 @@ def design_mpdr(
     spec_ch2: Spectrogram,
     steering: np.ndarray | None = None,
     alpha: float | None = None,
-    loading_factor: float = DEFAULT_LOADING_FACTOR,
 ) -> MpdrWeights:
     """Design per-bin weights from the observed channels.
 
     Args:
         steering: (bins, 2) per-bin steering; defaults to broadside [1, 1].
         alpha: fixed loading for every bin; when None each bin uses
-            loading_factor * trace(R)/2.
+            LOADING_FACTOR * trace(R)/2.
     """
     covariances = estimate_covariance(spec_ch1, spec_ch2)
     bins = len(covariances)
@@ -128,7 +127,7 @@ def design_mpdr(
     weights = np.empty((bins, 2), dtype=np.complex128)
     loading = np.empty(bins)
     for f, cov in enumerate(covariances):
-        loading[f] = scaled_loading(cov, loading_factor) if alpha is None else alpha
+        loading[f] = scaled_loading(cov) if alpha is None else alpha
         weights[f] = mpdr_weights(cov, steering[f], loading[f])
     return MpdrWeights(weights=weights, steering=steering, loading=loading)
 

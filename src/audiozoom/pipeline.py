@@ -33,12 +33,10 @@ class PipelineConfig:
     beamformer: str = "mpdr"
     stft: StftParams = field(default_factory=StftParams)
     mpdr_alpha: float | None = None  # None = per-bin scaled loading
-    mpdr_loading_factor: float = 1e-2
     gjbf: GjbfConfig = field(default_factory=GjbfConfig)
     gjbf_auto_lengths: tuple | None = None  # when set, sweep and pick before running
     bt: BlockThresholdParams = field(default_factory=BlockThresholdParams)
     bt_enabled: bool = True
-    seed: int = 0
 
     def __post_init__(self):
         if self.beamformer not in BEAMFORMERS:
@@ -79,9 +77,7 @@ def run_zoom(mixture: AudioBuffer, config: PipelineConfig = PipelineConfig()) ->
     gjbf_used = None
     curve = None
     if config.beamformer == "mpdr":
-        weights = design_mpdr(
-            y1, y2, alpha=config.mpdr_alpha, loading_factor=config.mpdr_loading_factor
-        )
+        weights = design_mpdr(y1, y2, alpha=config.mpdr_alpha)
         z_spec = apply_mpdr(y1, y2, weights)
         beamformed = istft(z_spec, length=mixture.length)
     else:

@@ -255,6 +255,22 @@ class Scenario:
     sound_speed: float = 343.0
 
 
+def key_value_lines(path):
+    """Yield (where, key, value) for each key=value line; where is 'path:line'.
+
+    '#' starts a comment; blank lines are skipped.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+            key, value = (part.strip() for part in line.split("=", 1))
+            yield f"{path}:{lineno}", key, value
+
+
 def parse_scenario(path) -> Scenario:
     """Parse a scenario file of key=value lines ('#' starts a comment).
 
@@ -265,45 +281,35 @@ def parse_scenario(path) -> Scenario:
     base = os.path.dirname(os.path.abspath(path))
     target = None
     scenario = Scenario(target_path="", target_azimuth=90.0)
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            try:
-                if key in ("target", "interferer"):
-                    wav_path, azimuth = (p.strip() for p in value.split(",", 1))
-                    if not os.path.isabs(wav_path):
-                        wav_path = os.path.join(base, wav_path)
-                    entry = (wav_path, float(azimuth))
-                    if key == "target":
-                        if target is not None:
-                            raise ValueError("duplicate target line")
-                        target = entry
-                    else:
-                        scenario.interferers.append(entry)
-                elif key == "sir_db":
-                    scenario.sir_db = float(value)
-                elif key == "sensor_noise_snr_db":
-                    scenario.sensor_noise_snr_db = float(value)
-                elif key == "seed":
-                    scenario.seed = int(value)
-                elif key == "echo_t60_ms":
-                    scenario.echo_t60_ms = float(value)
-                elif key == "spacing_m":
-                    scenario.spacing_m = float(value)
-                elif key == "sound_speed":
-                    scenario.sound_speed = float(value)
+    for where, key, value in key_value_lines(path):
+        try:
+            if key in ("target", "interferer"):
+                wav_path, azimuth = (p.strip() for p in value.split(",", 1))
+                if not os.path.isabs(wav_path):
+                    wav_path = os.path.join(base, wav_path)
+                entry = (wav_path, float(azimuth))
+                if key == "target":
+                    if target is not None:
+                        raise ValueError("duplicate target line")
+                    target = entry
                 else:
-                    raise ValueError(f"unknown key {key!r}")
-            except ValueError as exc:
-                msg = str(exc)
-                if f"{path}:" in msg:
-                    raise
-                raise ValueError(f"{path}:{lineno}: {msg}") from exc
+                    scenario.interferers.append(entry)
+            elif key == "sir_db":
+                scenario.sir_db = float(value)
+            elif key == "sensor_noise_snr_db":
+                scenario.sensor_noise_snr_db = float(value)
+            elif key == "seed":
+                scenario.seed = int(value)
+            elif key == "echo_t60_ms":
+                scenario.echo_t60_ms = float(value)
+            elif key == "spacing_m":
+                scenario.spacing_m = float(value)
+            elif key == "sound_speed":
+                scenario.sound_speed = float(value)
+            else:
+                raise ValueError(f"unknown key {key!r}")
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
     if target is None:
         raise ValueError(f"{path}: scenario has no target line")
     scenario.target_path, scenario.target_azimuth = target

@@ -306,3 +306,90 @@ class TestCliSweep:
         main(["sweep", prefix + "mixture.wav", "--lengths", "32,64", "--out", str(b_csv)])
         capsys.readouterr()
         assert a_csv.read_text() == b_csv.read_text()
+
+
+class TestCliSettings:
+    @pytest.fixture
+    def wav(self, tmp_path):
+        x = speech_like(1.0, FS, seed=45)
+        path = tmp_path / "in.wav"
+        write_wav(path, AudioBuffer(np.vstack([x.samples[0], 0.5 * x.samples[0]]), FS))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["zoom", "--beamformer", "gjbf", "--gjbf-length", "auto", "--gjbf-sweep", ","],
+            ["zoom", "--beamformer", "gjbf", "--gjbf-length", "auto", "--gjbf-sweep", "a,b"],
+            ["zoom", "--gjbf-length", "abc"],
+            ["sweep", "--lengths", "a,b"],
+            ["sweep", "--lengths", ","],
+            ["zoom", "--beamformer", "foo"],
+            ["zoom", "--stft-window", "foo"],
+            ["zoom", "--seed", "7"],
+            ["sweep", "--lengths", "32,64", "--seed", "7"],
+        ],
+    )
+    def test_bad_flag_is_usage_error(self, tmp_path, capsys, wav, command):
+        name, *flags = command
+        outputs = [str(tmp_path / "o.wav")] if name == "zoom" else []
+        with pytest.raises(SystemExit) as err:
+            main([name, wav, *outputs, *flags])
+        assert err.value.code == 1
+        assert "error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, line",
+        [
+            (["zoom", "--beamformer", "gjbf", "--gjbf-length", "auto"], "gjbf_sweep=,"),
+            (["zoom"], "gjbf_sweep=a,b"),
+            (["zoom"], "gjbf_length=abc"),
+            (["sweep", "--lengths", "32,64"], "gjbf_length=abc"),
+            (["zoom"], "beamformer=foo"),
+            (["zoom"], "seed=7"),
+            (["sweep", "--lengths", "32,64"], "seed=7"),
+        ],
+    )
+    def test_bad_config_line_is_data_error(self, tmp_path, capsys, wav, command, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"bt_h=4\n{line}\n")
+        name, *flags = command
+        outputs = [str(tmp_path / "o.wav")] if name == "zoom" else []
+        assert main([name, wav, *outputs, *flags, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("audiozoom: ")
+        assert "bad.cfg:2: " in err and line.split("=")[0] in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [[], ["--beamformer", "gjbf", "--gjbf-length", "auto", "--gjbf-sweep", "32,64",
+              "--gjbf-block", "16", "--mpdr-alpha", "0.5", "--bt-macro", "4x8", "--bt-H", "3"]],
+    )
+    def test_echoed_config_reads_back(self, tmp_path, capsys, wav, flags):
+        first = tmp_path / "first.wav"
+        assert main(["zoom", wav, str(first), *flags]) == 0
+        echo = [l for l in capsys.readouterr().out.splitlines() if l.startswith("config ")]
+        if not flags:
+            assert "config mpdr_alpha=None" in echo and "config gjbf_block=None" in echo
+        cfg = tmp_path / "echo.cfg"
+        cfg.write_text("".join(l[len("config "):] + "\n" for l in echo))
+        second = tmp_path / "second.wav"
+        assert main(["zoom", wav, str(second), "--config", str(cfg)]) == 0
+        again = [l for l in capsys.readouterr().out.splitlines() if l.startswith("config ")]
+        assert again == echo
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["zoom", "sweep"])
+    def test_gjbf_divergence_is_data_error(self, tmp_path, capsys, command):
+        x = speech_like(1.0, FS, seed=46).samples[0]
+        huge = tmp_path / "huge.wav"
+        stereo = AudioBuffer(1e200 * np.vstack([x, np.roll(x, 3)]), FS)
+        write_wav(huge, stereo, sample_format="float64")
+        tail = {
+            "zoom": [str(tmp_path / "o.wav"), "--beamformer", "gjbf"],
+            "sweep": ["--lengths", "32,64", "--out", str(tmp_path / "c.csv")],
+        }
+        assert main([command, str(huge), *tail[command]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("audiozoom: ") and "step size too large" in err
