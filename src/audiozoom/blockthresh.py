@@ -102,6 +102,15 @@ def residual_variance(y1: Spectrogram, y2: Spectrogram, z: Spectrogram) -> np.nd
     return 0.5 * (d1 + d2)
 
 
+def variance_floor(power: np.ndarray) -> float:
+    """Variance below which a cell counts as interference-free.
+
+    VARIANCE_FLOOR_FACTOR of the mean power, and never below 1e-300.
+    """
+    mean = float(power.mean()) if power.size else 0.0
+    return max(VARIANCE_FLOOR_FACTOR * mean, 1e-300)
+
+
 def _block_means(values: np.ndarray, tiling: Tiling) -> np.ndarray:
     bins, frames = values.shape
     grid = values.reshape(
@@ -220,7 +229,7 @@ def block_threshold_gains(
     if power.shape != sigma2.shape:
         raise ValueError("variance map dimensions must match the spectrogram")
     bins, frames = power.shape
-    floor = VARIANCE_FLOOR_FACTOR * float(power.mean()) if power.size else 0.0
+    floor = variance_floor(power)
     gains = np.ones_like(power)
     choices = []
     for b0 in range(0, bins, params.macro_bins):

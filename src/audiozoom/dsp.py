@@ -35,6 +35,8 @@ class AudioBuffer:
             raise ValueError("samples must be a 1-D or (channels, length) array")
         if int(self.sample_rate) <= 0:
             raise ValueError("sample_rate must be a positive integer")
+        if not np.all(np.isfinite(samples)):
+            raise ValueError("samples must be finite; found NaN or infinite values")
         self.samples = samples
         self.sample_rate = int(self.sample_rate)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .blockthresh import SNR_CAP, VARIANCE_FLOOR_FACTOR, residual_variance
+from .blockthresh import SNR_CAP, residual_variance, variance_floor
 from .dsp import AudioBuffer, Spectrogram, StftParams, stft
 
 POWER_SMOOTHING = 0.9  # per-block forgetting factor of the normalizing power estimate
@@ -62,11 +62,9 @@ class GjbfConfig:
 
 @dataclass
 class AdaptiveFilterState:
-    """Adaptive filter snapshot: taps, their transform, and the input tail."""
+    """Adaptive filter snapshot: the final time-domain taps."""
 
     taps: np.ndarray
-    frequency_state: np.ndarray
-    input_history: np.ndarray
 
 
 def _paired_mono(ch1: AudioBuffer, ch2: AudioBuffer) -> tuple:
@@ -113,14 +111,13 @@ def fdaf_gjbf(ch1: AudioBuffer, ch2: AudioBuffer, config: GjbfConfig = GjbfConfi
     total = n_samples + delay
     n_blocks = -(-total // B)
     padded = n_blocks * B
-    ref_pad = np.zeros(padded)
-    ref_pad[:n_samples] = reference
-    desired = np.zeros(padded)
-    desired[delay : delay + n_samples] = fixed
+    # L leading zeros: block k's overlap-save frame is ref_pad[k*B : k*B + L + B].
+    ref_pad = np.pad(reference, (L, padded - n_samples))
+    desired = np.pad(fixed, (delay, padded - delay - n_samples))
 
-    weights = np.zeros(nfft, dtype=np.complex128)
-    power = np.zeros(nfft)
-    history = np.zeros(L)
+    taps = np.zeros(L)
+    power = np.zeros(nfft // 2 + 1)
+    err_frame = np.zeros(nfft)
     estimate = np.zeros(padded)
     gamma = POWER_SMOOTHING
     # Scale-invariant floor: keeps near-silent blocks (or bins) from blowing
@@ -128,43 +125,40 @@ def fdaf_gjbf(ch1: AudioBuffer, ch2: AudioBuffer, config: GjbfConfig = GjbfConfi
     power_floor = 1e-4 * nfft * float(np.mean(reference**2))
 
     for k in range(n_blocks):
-        blk = ref_pad[k * B : (k + 1) * B]
-        frame = np.concatenate([history, blk])
-        spectrum = np.fft.fft(frame)
+        spectrum = np.fft.rfft(ref_pad[k * B : k * B + nfft])
         # Overlap-save: only the last B output samples of the circular product are valid.
-        block_out = np.fft.ifft(spectrum * weights).real[L:]
-        err = desired[k * B : (k + 1) * B] - block_out
+        block_out = np.fft.irfft(spectrum * np.fft.rfft(taps, nfft), nfft)[L:]
         estimate[k * B : (k + 1) * B] = block_out
+        err_frame[L:] = desired[k * B : (k + 1) * B] - block_out
 
-        err_spectrum = np.fft.fft(np.concatenate([np.zeros(L), err]))
-        grad = np.conj(spectrum) * err_spectrum
+        grad = np.conj(spectrum) * np.fft.rfft(err_frame)
         if config.normalized:
             block_power = np.abs(spectrum) ** 2
             power = block_power if k == 0 else gamma * power + (1.0 - gamma) * block_power
             grad = grad / (power + power_floor + 1e-300)
-        # Project out the circular-correlation wraparound before updating.
-        grad_time = np.fft.ifft(grad).real
-        grad_time[L:] = 0.0
-        grad = np.fft.fft(grad_time)
-        weights = (1.0 - config.leak) * weights + config.step_size * grad
-        history = frame[B:]
-
-        taps = np.fft.ifft(weights).real[:L]
+        # Keeping the first L lags drops the circular-correlation wraparound.
+        taps = (1.0 - config.leak) * taps + config.step_size * np.fft.irfft(grad, nfft)[:L]
         if not np.all(np.isfinite(taps)) or np.abs(taps).max() > DIVERGENCE_LIMIT:
             raise RuntimeError("step size too large")
 
     z = desired - estimate
-    state = AdaptiveFilterState(
-        taps=np.fft.ifft(weights).real[:L],
-        frequency_state=weights,
-        input_history=history.copy(),
-    )
     rate = ch1.sample_rate
     return (
         AudioBuffer(z[delay : delay + n_samples], rate),
         AudioBuffer(estimate[delay : delay + n_samples], rate),
-        state,
+        AdaptiveFilterState(taps),
     )
+
+
+def _checked_power(z: Spectrogram | np.ndarray, sigma2: np.ndarray) -> tuple:
+    coeffs = z.coefficients if isinstance(z, Spectrogram) else np.asarray(z)
+    power = np.abs(coeffs) ** 2 if np.iscomplexobj(coeffs) else coeffs.astype(np.float64)
+    sigma2 = np.asarray(sigma2, dtype=np.float64)
+    if power.shape != sigma2.shape:
+        raise ValueError("dimensions must match")
+    if np.any(sigma2 < 0):
+        raise ValueError("variance map must be nonnegative")
+    return power, sigma2, variance_floor(power)
 
 
 def sinr_map(z: Spectrogram | np.ndarray, sigma2: np.ndarray) -> np.ndarray:
@@ -173,14 +167,7 @@ def sinr_map(z: Spectrogram | np.ndarray, sigma2: np.ndarray) -> np.ndarray:
     Cells whose variance sits below VARIANCE_FLOOR_FACTOR of the mean output
     power get the SNR_CAP sentinel; everything is clipped to [0, SNR_CAP].
     """
-    coeffs = z.coefficients if isinstance(z, Spectrogram) else np.asarray(z)
-    power = np.abs(coeffs) ** 2 if np.iscomplexobj(coeffs) else coeffs.astype(np.float64)
-    sigma2 = np.asarray(sigma2, dtype=np.float64)
-    if power.shape != sigma2.shape:
-        raise ValueError("dimensions must match")
-    if np.any(sigma2 < 0):
-        raise ValueError("variance map must be nonnegative")
-    floor = max(VARIANCE_FLOOR_FACTOR * float(power.mean()), 1e-300)
+    power, sigma2, floor = _checked_power(z, sigma2)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.clip((power - sigma2) / sigma2, 0.0, SNR_CAP)
     return np.where(sigma2 < floor, SNR_CAP, ratio)
@@ -188,12 +175,12 @@ def sinr_map(z: Spectrogram | np.ndarray, sigma2: np.ndarray) -> np.ndarray:
 
 def mean_sinr_db(z: Spectrogram, sigma2: np.ndarray) -> float:
     """Scalar SINR score: mean over valid cells of 10*log10(1 + SINR)."""
-    power = np.abs(z.coefficients) ** 2
-    valid = sigma2 >= max(VARIANCE_FLOOR_FACTOR * float(power.mean()), 1e-300)
+    power, sigma2, floor = _checked_power(z, sigma2)
+    valid = sigma2 >= floor
     if not valid.any():
         return float(10.0 * np.log10(1.0 + SNR_CAP))
-    ratio = sinr_map(z, sigma2)
-    return float(np.mean(10.0 * np.log10(1.0 + ratio[valid])))
+    ratio = np.clip((power[valid] - sigma2[valid]) / sigma2[valid], 0.0, SNR_CAP)
+    return float(np.mean(10.0 * np.log10(1.0 + ratio)))
 
 
 def select_filter_length(

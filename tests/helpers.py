@@ -8,12 +8,15 @@ from audiozoom.simulate import MixtureSpec, SourceSpec, speech_like, synthesize_
 FS = 16000
 
 
-def block_lms_reference(reference, desired, filter_length, block_size, step_size, n_blocks):
+def block_lms_reference(
+    reference, desired, filter_length, block_size, step_size, n_blocks, leak=0.0
+):
     """Plain time-domain block LMS; returns the tap vector after every block.
 
-    Update per block: w += mu * sum_n e[n] * u[n - i], the gradient of the
-    block error power. Serves as the independent oracle for the
-    frequency-domain implementation with a fixed (unnormalized) step.
+    Update per block: w = (1 - leak) * w + mu * sum_n e[n] * u[n - i], a
+    leaky step along the gradient of the block error power. Serves as the
+    independent oracle for the frequency-domain implementation with a fixed
+    (unnormalized) step.
     """
     u = np.asarray(reference, dtype=np.float64)
     d = np.asarray(desired, dtype=np.float64)
@@ -31,7 +34,7 @@ def block_lms_reference(reference, desired, filter_length, block_size, step_size
         grad = np.empty(filter_length)
         for i in range(filter_length):
             grad[i] = err @ ctx[filter_length - i : filter_length - i + block_size]
-        w = w + step_size * grad
+        w = (1.0 - leak) * w + step_size * grad
         history = ctx[block_size:]
         trajectory.append(w.copy())
     return np.asarray(trajectory)

@@ -184,6 +184,13 @@ class TestAudioBuffer:
         with pytest.raises(ValueError, match="sample_rate"):
             AudioBuffer(np.zeros(10), 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        samples = np.zeros((2, 10))
+        samples[0, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            AudioBuffer(samples, 8000)
+
     def test_channel_view(self):
         buf = AudioBuffer(np.arange(20.0).reshape(2, 10), 8000)
         assert buf.channel(1).samples[0, 0] == 10.0

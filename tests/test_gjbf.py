@@ -78,27 +78,34 @@ class TestFdaf:
         assert np.all(state.taps == 0)
         assert np.array_equal(z.samples, x.samples)
 
-    def test_matches_time_domain_block_lms(self):
-        # Oracle-first: fixed step, block = filter length, 10 blocks.
+    @pytest.mark.parametrize("leak", [0.0, 0.05])
+    @pytest.mark.parametrize("B", [3, 4, 8, 13, 16])
+    def test_matches_time_domain_block_lms(self, B, leak):
+        # Oracle-first: fixed step, filter length 8, block sizes on both sides of it.
         rng = np.random.default_rng(5)
         L, blocks = 8, 10
         n = 2 * L + 1 + L * blocks
         x1 = rng.standard_normal(n)
         x2 = rng.standard_normal(n)
         config = GjbfConfig(
-            filter_length=L, step_size=0.02, normalized=False, alignment_delay=L // 2
+            filter_length=L,
+            step_size=0.02,
+            block_size=B,
+            leak=leak,
+            normalized=False,
+            alignment_delay=L // 2,
         )
         _, _, state = fdaf_gjbf(AudioBuffer(x1, FS), AudioBuffer(x2, FS), config)
 
         fixed = 0.5 * (x1 + x2)
         ref = x1 - x2
         total = x1.size + config.delay
-        pad = -(-total // L) * L
+        pad = -(-total // B) * B
         u = np.zeros(pad)
         u[: ref.size] = ref
         d = np.zeros(pad)
         d[config.delay : config.delay + fixed.size] = fixed
-        trajectory = block_lms_reference(u, d, L, L, 0.02, pad // L)
+        trajectory = block_lms_reference(u, d, L, B, 0.02, pad // B, leak)
         scale = max(np.abs(trajectory[-1]).max(), 1e-300)
         assert np.abs(state.taps - trajectory[-1]).max() <= 1e-6 * scale
 

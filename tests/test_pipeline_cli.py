@@ -1,10 +1,12 @@
 """End-to-end pipeline and command-line tests."""
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 from helpers import FS, default_scene
+from scipy.io import wavfile
 
 from audiozoom.cli import main
 from audiozoom.dsp import AudioBuffer
@@ -104,8 +106,8 @@ class TestCliSimulate:
         b_prefix = str(tmp_path / "b_")
         assert main(["simulate", str(scenario), a_prefix]) == 0
         assert main(["simulate", str(scenario), b_prefix]) == 0
-        a = open(a_prefix + "mixture.wav", "rb").read()
-        b = open(b_prefix + "mixture.wav", "rb").read()
+        a = Path(a_prefix + "mixture.wav").read_bytes()
+        b = Path(b_prefix + "mixture.wav").read_bytes()
         assert a == b
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
@@ -190,7 +192,8 @@ class TestCliZoom:
         assert main(["zoom", str(path), str(out), "--dump", dump]) == 0
         for name in ("beamformed_mag.csv", "output_mag.csv", "bt_gains.csv", "bt_blocks.csv"):
             assert os.path.exists(dump + name)
-        header = open(dump + "bt_gains.csv").readline()
+        with open(dump + "bt_gains.csv") as handle:
+            header = handle.readline()
         assert header.startswith("bin,frame_0,")
 
     def test_mono_input_exit_code(self, tmp_path):
@@ -198,6 +201,18 @@ class TestCliZoom:
         path = tmp_path / "mono.wav"
         write_wav(path, x)
         assert main(["zoom", str(path), str(tmp_path / "o.wav")]) == 2
+
+    @pytest.mark.parametrize("beamformer", ["mpdr", "gjbf"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_is_data_error(self, tmp_path, capsys, bad, beamformer):
+        samples = default_scene(seed=1).mixture.samples.astype(np.float32)
+        samples[0, 1000] = bad
+        path = tmp_path / "bad.wav"
+        wavfile.write(path, FS, samples.T)
+        out = tmp_path / "o.wav"
+        assert main(["zoom", str(path), str(out), "--beamformer", beamformer]) == 2
+        assert "samples must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as err:
