@@ -111,12 +111,32 @@ def variance_floor(power: np.ndarray) -> float:
     return max(VARIANCE_FLOOR_FACTOR * mean, 1e-300)
 
 
-def _block_means(values: np.ndarray, tiling: Tiling) -> np.ndarray:
-    bins, frames = values.shape
-    grid = values.reshape(
-        bins // tiling.sub_bins, tiling.sub_bins, frames // tiling.sub_frames, tiling.sub_frames
+def _tile(stack: np.ndarray, tiling: Tiling) -> np.ndarray:
+    # (n_b, MB, n_t, MF) -> (n_b, MB/sub_bins, sub_bins, n_t, MF/sub_frames, sub_frames) view.
+    n_b, mb, n_t, mf = stack.shape
+    return stack.reshape(
+        n_b, mb // tiling.sub_bins, tiling.sub_bins, n_t, mf // tiling.sub_frames, tiling.sub_frames
     )
-    return grid.mean(axis=(1, 3))
+
+
+def _stack_snr(power: np.ndarray, sigma2: np.ndarray, tiling: Tiling, floor: float) -> np.ndarray:
+    # Sub-block SNRs of every macro-block in a (n_b, MB, n_t, MF) stack, shaped (n_b, kb, n_t, kt).
+    mean_power = _tile(power, tiling).mean(axis=(2, 5))
+    mean_var = _tile(sigma2, tiling).mean(axis=(2, 5))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        snr = np.clip(mean_power / mean_var - 1.0, 0.0, SNR_CAP)
+    return np.where(mean_var < max(floor, 1e-300), SNR_CAP, snr)
+
+
+def _single_stack(z_region, sigma2_region) -> tuple:
+    # One macro-block as a 1x1 stack of power and variance.
+    z_region = np.asarray(z_region)
+    power = np.abs(z_region) ** 2 if np.iscomplexobj(z_region) else z_region.astype(np.float64)
+    sigma2 = np.asarray(sigma2_region, dtype=np.float64)
+    if power.ndim != 2 or power.shape != sigma2.shape:
+        raise ValueError("region dimensions must match")
+    shape = (1, power.shape[0], 1, power.shape[1])
+    return power.reshape(shape), sigma2.reshape(shape)
 
 
 def block_snr(
@@ -127,16 +147,8 @@ def block_snr(
     Sub-blocks whose mean variance sits below the floor get the SNR_CAP
     sentinel (treated as clean signal).
     """
-    z_region = np.asarray(z_region)
-    power = np.abs(z_region) ** 2 if np.iscomplexobj(z_region) else z_region.astype(np.float64)
-    if power.shape != np.shape(sigma2_region):
-        raise ValueError("region dimensions must match")
-    mean_power = _block_means(power, tiling)
-    mean_var = _block_means(np.asarray(sigma2_region, dtype=np.float64), tiling)
-    floor = max(variance_floor, 1e-300)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        snr = np.clip(mean_power / mean_var - 1.0, 0.0, SNR_CAP)
-    return np.where(mean_var < floor, SNR_CAP, snr)
+    power, sigma2 = _single_stack(z_region, sigma2_region)
+    return _stack_snr(power, sigma2, tiling, variance_floor)[0, :, 0, :]
 
 
 def attenuation_factor(snr):
@@ -147,6 +159,37 @@ def attenuation_factor(snr):
     gain = 1.0 - 1.0 / (snr + 1.0)
     gain = np.clip(gain, 0.0, 1.0)
     return float(gain) if gain.ndim == 0 else gain
+
+
+def _choose_tilings(power, sigma2, tilings, snr_threshold, floor, gains) -> np.ndarray:
+    """Best tiling of every macro-block in a (n_b, MB, n_t, MF) stack, all blocks at once.
+
+    The tilings are scanned in the given order; a block moves to a later one
+    only when it has more above-threshold sub-blocks, or as many with a larger
+    mean SNR among them. The chosen sub-block gains are written into gains, a
+    view of the same shape. Returns each block's index into tilings, (n_b, n_t).
+    """
+    shape = (power.shape[0], power.shape[2])
+    best = np.zeros(shape, dtype=np.intp)
+    best_count = np.full(shape, -1)
+    best_mean = np.full(shape, -np.inf)
+    for index, tiling in enumerate(tilings):
+        snr = _stack_snr(power, sigma2, tiling, floor)
+        above = snr > snr_threshold
+        count = above.sum(axis=(1, 3))
+        total = np.where(above, snr, 0.0).sum(axis=(1, 3))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mean = np.where(count > 0, total / count, -np.inf)
+        better = (count > best_count) | ((count == best_count) & (mean > best_mean))
+        best[better] = index
+        best_count = np.where(better, count, best_count)
+        best_mean = np.where(better, mean, best_mean)
+        np.copyto(
+            _tile(gains, tiling),
+            attenuation_factor(snr)[:, :, None, :, :, None],
+            where=better[:, None, None, :, None, None],
+        )
+    return best
 
 
 def choose_partition(
@@ -163,20 +206,13 @@ def choose_partition(
     """
     if not tilings:
         raise ValueError("no candidate tilings")
-    best = None
-    for tiling in sorted(tilings, key=lambda t: t.v):
-        snr = block_snr(z_region, sigma2_region, tiling, variance_floor)
-        above = snr > snr_threshold
-        count = int(above.sum())
-        mean_above = float(snr[above].mean()) if count else float("-inf")
-        if best is None or (count, mean_above) > (best[0], best[1]):
-            best = (count, mean_above, tiling, snr)
-    tiling, snr = best[2], best[3]
+    ordered = sorted(tilings, key=lambda t: t.v)
+    power, sigma2 = _single_stack(z_region, sigma2_region)
+    scratch = np.empty_like(power)
+    index = _choose_tilings(power, sigma2, ordered, snr_threshold, variance_floor, scratch)
+    tiling = ordered[index[0, 0]]
+    snr = _stack_snr(power, sigma2, tiling, variance_floor)[0, :, 0, :]
     return tiling, snr, attenuation_factor(snr)
-
-
-def _expand(grid: np.ndarray, tiling: Tiling) -> np.ndarray:
-    return np.repeat(np.repeat(grid, tiling.sub_bins, axis=0), tiling.sub_frames, axis=1)
 
 
 @dataclass(frozen=True)
@@ -212,6 +248,18 @@ def _feasible_levels(frames: int, bins: int, levels: int) -> int:
     return 0  # 1x1 sub-blocks always tile
 
 
+def _bands(size: int, macro: int) -> list:
+    # One grid axis as its run of whole macro-blocks plus the partial block
+    # after it: (cell slice, macro-block slice, macro-block extent) per band.
+    whole, rest = divmod(size, macro)
+    bands = []
+    if whole:
+        bands.append((slice(0, whole * macro), slice(0, whole), macro))
+    if rest:
+        bands.append((slice(whole * macro, size), slice(whole, whole + 1), rest))
+    return bands
+
+
 def block_threshold_gains(
     z: Spectrogram | np.ndarray,
     sigma2: np.ndarray,
@@ -221,7 +269,9 @@ def block_threshold_gains(
 
     Interior macro-blocks are params.macro_frames x params.macro_bins;
     partial blocks at the borders fall back to the largest subdivision depth
-    they can host (down to per-cell gains).
+    they can host (down to per-cell gains). The grid splits into at most four
+    regions of equal-shaped macro-blocks (interior, right strip, bottom strip,
+    corner), and each region picks every block's tiling in one batched pass.
     """
     coeffs = z.coefficients if isinstance(z, Spectrogram) else np.asarray(z)
     power = np.abs(coeffs) ** 2
@@ -229,20 +279,32 @@ def block_threshold_gains(
     if power.shape != sigma2.shape:
         raise ValueError("variance map dimensions must match the spectrogram")
     bins, frames = power.shape
+    mb, mf = params.macro_bins, params.macro_frames
     floor = variance_floor(power)
-    gains = np.ones_like(power)
-    choices = []
-    for b0 in range(0, bins, params.macro_bins):
-        b1 = min(b0 + params.macro_bins, bins)
-        for t0 in range(0, frames, params.macro_frames):
-            t1 = min(t0 + params.macro_frames, frames)
-            h = _feasible_levels(t1 - t0, b1 - b0, params.levels)
-            tilings = enumerate_partitions(t1 - t0, b1 - b0, h)
-            tiling, _, block_gain = choose_partition(
-                power[b0:b1, t0:t1], sigma2[b0:b1, t0:t1], tilings, params.snr_threshold, floor
+    gains = np.empty_like(power)
+    grid = (-(-bins // mb), -(-frames // mf))
+    chosen_v = np.zeros(grid, dtype=int)
+    chosen_levels = np.zeros(grid, dtype=int)
+    for cells_b, blocks_b, nb in _bands(bins, mb):
+        for cells_t, blocks_t, nt in _bands(frames, mf):
+            h = _feasible_levels(nt, nb, params.levels)
+            tilings = enumerate_partitions(nt, nb, h)
+            shape = (blocks_b.stop - blocks_b.start, nb, blocks_t.stop - blocks_t.start, nt)
+            index = _choose_tilings(
+                power[cells_b, cells_t].reshape(shape),
+                sigma2[cells_b, cells_t].reshape(shape),
+                tilings,
+                params.snr_threshold,
+                floor,
+                gains[cells_b, cells_t].reshape(shape),
             )
-            gains[b0:b1, t0:t1] = _expand(block_gain, tiling)
-            choices.append(MacroBlockChoice(b0, t0, b1 - b0, t1 - t0, h, tiling.v))
+            chosen_v[blocks_b, blocks_t] = np.array([t.v for t in tilings])[index]
+            chosen_levels[blocks_b, blocks_t] = h
+    choices = [
+        MacroBlockChoice(b0, t0, min(mb, bins - b0), min(mf, frames - t0), h, v)
+        for b0, h_row, v_row in zip(range(0, bins, mb), chosen_levels.tolist(), chosen_v.tolist())
+        for t0, h, v in zip(range(0, frames, mf), h_row, v_row)
+    ]
     return BlockGrid(params=params, gains=gains, choices=choices)
 
 

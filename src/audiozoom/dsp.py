@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,15 +149,24 @@ def stft(signal: AudioBuffer, params: StftParams = StftParams()) -> Spectrogram:
     return Spectrogram(np.fft.rfft(frames, axis=1).T, params, signal.sample_rate)
 
 
+def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
+    # Sum of (n, frame) rows placed hop apart, as frame // hop strided adds of
+    # hop-wide slices; each output sample collects its frames in frame order.
+    n_frames, frame = frames.shape
+    parts = frame // hop
+    out = np.zeros((n_frames + parts - 1, hop))
+    pieces = frames.reshape(n_frames, parts, hop)
+    for r in reversed(range(parts)):
+        out[r : r + n_frames] += pieces[:, r]
+    return out.reshape(-1)
+
+
 def _synthesis_envelope(window: np.ndarray, hop: int, n_frames: int) -> np.ndarray:
-    frame = window.size
-    env = np.zeros((n_frames - 1) * hop + frame)
     wsq = window * window
-    for v in range(n_frames):
-        env[v * hop : v * hop + frame] += wsq
-    return env
+    return _overlap_add(np.broadcast_to(wsq, (n_frames, wsq.size)), hop)
 
 
+@functools.cache
 def check_cola(params: StftParams) -> bool:
     """True when the window/hop pair supports exact overlap-add resynthesis."""
     window = make_window(params.window, params.frame_length)
@@ -186,9 +196,7 @@ def istft(spec: Spectrogram, length: int | None = None) -> AudioBuffer:
         return AudioBuffer(out, spec.sample_rate)
     frames = np.fft.irfft(spec.coefficients.T, n=frame, axis=1)
     frames *= window
-    out = np.zeros((n_frames - 1) * hop + frame)
-    for v in range(n_frames):
-        out[v * hop : v * hop + frame] += frames[v]
+    out = _overlap_add(frames, hop)
     env = _synthesis_envelope(window, hop, n_frames)
     live = env > 1e-12 * env.max()
     out[live] /= env[live]

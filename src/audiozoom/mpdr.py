@@ -52,26 +52,38 @@ def _channel_stack(spec_ch1: Spectrogram, spec_ch2: Spectrogram) -> np.ndarray:
 
 
 def estimate_covariance(spec_ch1: Spectrogram, spec_ch2: Spectrogram) -> list:
-    """Per-bin 2x2 sample covariance averaged over all frames."""
+    """Per-bin 2x2 sample covariance averaged over all frames.
+
+    Raises ValueError when the estimate is not finite, which happens when the
+    input level is so large that the products overflow.
+    """
     stacked = _channel_stack(spec_ch1, spec_ch2)
     frames = stacked.shape[2]
     if frames == 0:
         raise ValueError("no frames")
-    matrices = np.einsum("afk,bfk->fab", stacked, stacked.conj()) / frames
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrices = np.einsum("afk,bfk->fab", stacked, stacked.conj()) / frames
+    if not np.all(np.isfinite(matrices)):
+        raise ValueError("input level overflows the covariance estimate; scale the input down")
     return [BinCovariance(matrices[f], f, frames) for f in range(matrices.shape[0])]
 
 
 def _loaded_inverse_apply(matrix: np.ndarray, alpha: float, vector: np.ndarray) -> np.ndarray:
-    # Closed-form 2x2 solve via the adjugate; exact and cheap for M = 2.
-    a = matrix[0, 0] + alpha
-    b = matrix[0, 1]
-    c = matrix[1, 0]
-    d = matrix[1, 1] + alpha
+    # Closed-form 2x2 solve via the adjugate; exact and cheap for M = 2. The
+    # entries are first scaled by the power of two nearest the largest, which
+    # is exact and keeps det within range for any normal-range covariance.
+    entries = (matrix[0, 0] + alpha, matrix[0, 1], matrix[1, 0], matrix[1, 1] + alpha)
+    peak = max(abs(x) for x in entries)
+    if 0.0 < peak < np.finfo(np.float64).tiny:
+        raise np.linalg.LinAlgError("covariance below the normal float range; increase loading")
+    unit = np.ldexp(1.0, -int(np.frexp(peak)[1]))
+    a, b, c, d = (x * unit for x in entries)
     det = a * d - b * c
     scale = max(abs(a), abs(b), abs(c), abs(d), 1e-300)
     if abs(det) <= 1e-15 * scale * scale:
         raise np.linalg.LinAlgError("degenerate covariance; increase loading")
-    return np.array([d * vector[0] - b * vector[1], -c * vector[0] + a * vector[1]]) / det
+    solved = np.array([d * vector[0] - b * vector[1], -c * vector[0] + a * vector[1]]) / det
+    return solved * unit
 
 
 def mpdr_weights(cov: BinCovariance, steering: np.ndarray, alpha: float) -> np.ndarray:

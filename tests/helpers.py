@@ -2,7 +2,17 @@
 
 import numpy as np
 
-from audiozoom.dsp import AudioBuffer
+from audiozoom.blockthresh import (
+    SNR_CAP,
+    BlockGrid,
+    BlockThresholdParams,
+    MacroBlockChoice,
+    _feasible_levels,
+    attenuation_factor,
+    enumerate_partitions,
+    variance_floor,
+)
+from audiozoom.dsp import AudioBuffer, check_cola, make_window
 from audiozoom.simulate import MixtureSpec, SourceSpec, speech_like, synthesize_mixture, two_mic_array
 
 FS = 16000
@@ -66,3 +76,77 @@ def default_scene(
 def white_noise_buffer(length, seed, rate=FS):
     rng = np.random.default_rng(seed)
     return AudioBuffer(rng.standard_normal(length), rate)
+
+
+def block_threshold_reference(z, sigma2, params=BlockThresholdParams()):
+    """Per-macro-block loop form of blockthresh.block_threshold_gains.
+
+    Scans the grid macro-block by macro-block, scores every tiling of each
+    block separately and keeps the best by (above-threshold count, mean SNR
+    above threshold), ties to the smaller v. Serves as the oracle for the
+    batched implementation.
+    """
+    coeffs = getattr(z, "coefficients", z)
+    power = np.abs(np.asarray(coeffs)) ** 2
+    sigma2 = np.asarray(sigma2, dtype=np.float64)
+    bins, frames = power.shape
+    floor = variance_floor(power)
+
+    def block_means(values, tiling):
+        b, f = values.shape
+        sb, st = tiling.sub_bins, tiling.sub_frames
+        return values.reshape(b // sb, sb, f // st, st).mean(axis=(1, 3))
+
+    gains = np.ones_like(power)
+    choices = []
+    for b0 in range(0, bins, params.macro_bins):
+        b1 = min(b0 + params.macro_bins, bins)
+        for t0 in range(0, frames, params.macro_frames):
+            t1 = min(t0 + params.macro_frames, frames)
+            h = _feasible_levels(t1 - t0, b1 - b0, params.levels)
+            best = None
+            for tiling in enumerate_partitions(t1 - t0, b1 - b0, h):
+                mean_power = block_means(power[b0:b1, t0:t1], tiling)
+                mean_var = block_means(sigma2[b0:b1, t0:t1], tiling)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    snr = np.clip(mean_power / mean_var - 1.0, 0.0, SNR_CAP)
+                snr = np.where(mean_var < floor, SNR_CAP, snr)
+                above = snr > params.snr_threshold
+                count = int(above.sum())
+                mean_above = float(snr[above].mean()) if count else float("-inf")
+                if best is None or (count, mean_above) > (best[0], best[1]):
+                    best = (count, mean_above, tiling, snr)
+            tiling, snr = best[2], best[3]
+            block_gain = attenuation_factor(snr)
+            gains[b0:b1, t0:t1] = np.repeat(
+                np.repeat(block_gain, tiling.sub_bins, axis=0), tiling.sub_frames, axis=1
+            )
+            choices.append(MacroBlockChoice(b0, t0, b1 - b0, t1 - t0, h, tiling.v))
+    return BlockGrid(params=params, gains=gains, choices=choices)
+
+
+def istft_reference(spec, length=None):
+    """Frame-by-frame weighted overlap-add; the oracle for dsp.istft."""
+    params = spec.params
+    if not check_cola(params):
+        raise ValueError("window does not satisfy COLA")
+    frame, hop = params.frame_length, params.hop_length
+    window = make_window(params.window, frame)
+    n_frames = spec.frame_count
+    if n_frames == 0:
+        return AudioBuffer(np.zeros(0 if length is None else length), spec.sample_rate)
+    frames = np.fft.irfft(spec.coefficients.T, n=frame, axis=1)
+    frames *= window
+    out = np.zeros((n_frames - 1) * hop + frame)
+    env = np.zeros_like(out)
+    for v in range(n_frames):
+        out[v * hop : v * hop + frame] += frames[v]
+        env[v * hop : v * hop + frame] += window * window
+    live = env > 1e-12 * env.max()
+    out[live] /= env[live]
+    if length is not None:
+        if length <= out.size:
+            out = out[:length]
+        else:
+            out = np.concatenate([out, np.zeros(length - out.size)])
+    return AudioBuffer(out, spec.sample_rate)

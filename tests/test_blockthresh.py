@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
-from helpers import FS, default_scene
+from helpers import FS, block_threshold_reference, default_scene
 
+from audiozoom import blockthresh
 from audiozoom.blockthresh import (
     BlockThresholdParams,
     apply_block_threshold,
@@ -16,6 +17,8 @@ from audiozoom.blockthresh import (
 )
 from audiozoom.dsp import AudioBuffer, Spectrogram, StftParams, stft
 from audiozoom.mpdr import apply_mpdr, design_mpdr
+from audiozoom.pipeline import PipelineConfig, run_zoom
+from audiozoom.simulate import echo_taps_for_t60
 
 
 def _spec(coeffs, frame=64):
@@ -314,3 +317,81 @@ class TestApplyBlockThreshold:
             / np.sum(np.abs(grid.gains * r_spec.coefficients) ** 2)
         )
         assert after > before
+
+
+ORACLE_PARAMS = [
+    BlockThresholdParams(8, 16, 4, 1.0),
+    BlockThresholdParams(4, 4, 2, 1.0),
+    BlockThresholdParams(8, 8, 3, 0.5),
+    BlockThresholdParams(16, 8, 4, 2.0),
+]
+# (bins, frames). With 16-bin x 8-frame macro-blocks, 257x101 has all four
+# regions, 65x24 the interior and bottom strip, 33x7 the right strip and
+# corner, 5x3 and 1x1 only a corner.
+ORACLE_GRIDS = [(65, 24), (33, 7), (5, 3), (1, 1), (257, 101)]
+
+
+def _params_id(params):
+    return "x".join(str(value) for value in vars(params).values())
+
+
+def _assert_same_grid(got, want):
+    assert got.choices == want.choices
+    assert np.abs(got.gains - want.gains).max() <= 1e-15
+
+
+def _assert_matches_reference(z, sigma2, params):
+    _assert_same_grid(
+        block_threshold_gains(z, sigma2, params), block_threshold_reference(z, sigma2, params)
+    )
+
+
+class TestBatchedMatchesReference:
+    @pytest.mark.parametrize("beamformer", ["mpdr", "gjbf"])
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_default_scenes(self, seed, beamformer):
+        echo = echo_taps_for_t60(0.3) if seed % 2 else ()
+        scene = default_scene(seed=seed, echo_taps=echo)
+        result = run_zoom(scene.mixture, PipelineConfig(beamformer=beamformer))
+        want = block_threshold_reference(result.beamformed_spec, result.sigma2)
+        _assert_same_grid(result.block_grid, want)
+
+    @pytest.mark.parametrize("params", ORACLE_PARAMS, ids=_params_id)
+    @pytest.mark.parametrize("bins, frames", ORACLE_GRIDS)
+    def test_random_grids(self, bins, frames, params):
+        rng = np.random.default_rng(bins * 1000 + frames)
+        z = rng.standard_normal((bins, frames)) + 1j * rng.standard_normal((bins, frames))
+        sigma2 = rng.uniform(0.0, 3.0, (bins, frames))
+        _assert_matches_reference(z, sigma2, params)
+
+    @pytest.mark.parametrize("params", ORACLE_PARAMS, ids=_params_id)
+    def test_zero_variance_half(self, params):
+        # The lower half of the bins has no residual: the SNR_CAP sentinel path.
+        rng = np.random.default_rng(77)
+        z = rng.standard_normal((65, 24)) + 1j * rng.standard_normal((65, 24))
+        sigma2 = rng.uniform(0.1, 2.0, (65, 24))
+        sigma2[:33] = 0.0
+        _assert_matches_reference(z, sigma2, params)
+
+
+def test_batched_core_calls_do_not_grow_with_macro_blocks(monkeypatch):
+    # 257 x 101 and 257 x 3749 (60 s at the default STFT) share their region
+    # shapes, so a batched pass calls the core equally often on both.
+    calls = []
+    core = blockthresh._choose_tilings
+
+    def counting(*args):
+        calls.append(1)
+        return core(*args)
+
+    monkeypatch.setattr(blockthresh, "_choose_tilings", counting)
+    counts = []
+    for frames in (101, 3749):
+        rng = np.random.default_rng(frames)
+        power = rng.uniform(0.0, 2.0, (257, frames))
+        sigma2 = rng.uniform(0.1, 2.0, (257, frames))
+        calls.clear()
+        grid = block_threshold_gains(power, sigma2)
+        assert len(grid.choices) == 17 * -(-frames // 8)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 4

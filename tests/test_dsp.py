@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from helpers import istft_reference
 
 from audiozoom.dsp import (
     AudioBuffer,
@@ -150,6 +151,34 @@ class TestIstft:
 
     def test_rect_full_hop_is_cola(self):
         assert check_cola(StftParams(512, 512, "rect"))
+
+
+ISTFT_CONFIGS = [
+    (512, 256, "sqrt_hann"),
+    (512, 128, "hann"),
+    (256, 256, "rect"),
+    (64, 16, "sqrt_hann"),
+    (512, 512, "rect"),
+]
+
+
+class TestIstftMatchesReference:
+    @pytest.mark.parametrize("frame, hop, window", ISTFT_CONFIGS)
+    @pytest.mark.parametrize("size", ["frame", "frame+1", "3frame+7", "16000"])
+    def test_bit_identical(self, frame, hop, window, size):
+        n = {"frame": frame, "frame+1": frame + 1, "3frame+7": 3 * frame + 7, "16000": 16000}[size]
+        x = np.random.default_rng(n + frame + hop).standard_normal(n)
+        spec = stft(AudioBuffer(x, 16000), StftParams(frame, hop, window))
+        assert np.array_equal(istft(spec).samples, istft_reference(spec).samples)
+
+    @pytest.mark.parametrize("frame, hop, window", ISTFT_CONFIGS)
+    @pytest.mark.parametrize("delta", [-5, 100])
+    def test_length_crop_and_pad(self, frame, hop, window, delta):
+        x = np.random.default_rng(frame + hop).standard_normal(3 * frame + 7)
+        spec = stft(AudioBuffer(x, 16000), StftParams(frame, hop, window))
+        got = istft(spec, length=x.size + delta).samples
+        assert got.shape == (1, x.size + delta)
+        assert np.array_equal(got, istft_reference(spec, length=x.size + delta).samples)
 
 
 class TestFftConvolve:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from helpers import default_scene
 
 from audiozoom.dsp import AudioBuffer, StftParams, stft
 from audiozoom.mpdr import (
@@ -13,6 +14,7 @@ from audiozoom.mpdr import (
     scaled_loading,
     steering_for_bins,
 )
+from audiozoom.pipeline import run_zoom
 from audiozoom.simulate import MixtureSpec, SourceSpec, synthesize_mixture, two_mic_array
 
 FS = 16000
@@ -201,3 +203,29 @@ class TestApplyMpdr:
         s1, s2 = self._specs(seed=10)
         weights = design_mpdr(s1, s2)
         assert weights.distortionless_error().max() <= 1e-9
+
+
+class TestAmplitudeRange:
+    """MPDR through run_zoom on default_scene(1).mixture scaled by a."""
+
+    @staticmethod
+    def _scaled(a):
+        mixture = default_scene(seed=1).mixture
+        return AudioBuffer(a * mixture.samples, mixture.sample_rate), mixture
+
+    @pytest.mark.parametrize("a", [1e-100, 1e100, 1e150])
+    def test_output_scales_with_input(self, a):
+        scaled, mixture = self._scaled(a)
+        want = a * run_zoom(mixture).output.samples
+        got = run_zoom(scaled).output.samples
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_overflowing_covariance_is_value_error(self):
+        scaled, _ = self._scaled(1e200)
+        with pytest.raises(ValueError, match="input level overflows"):
+            run_zoom(scaled)
+
+    def test_underflowing_power_is_degenerate(self):
+        scaled, _ = self._scaled(1e-200)
+        with pytest.raises(np.linalg.LinAlgError, match="degenerate"):
+            run_zoom(scaled)

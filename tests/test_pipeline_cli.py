@@ -5,10 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import FS, default_scene
+from helpers import FS, block_threshold_reference, default_scene
 from scipy.io import wavfile
 
-from audiozoom.cli import main
+from audiozoom.cli import _write_matrix_csv, main
 from audiozoom.dsp import AudioBuffer
 from audiozoom.gjbf import GjbfConfig
 from audiozoom.pipeline import PipelineConfig, evaluate_scene, normalize_peak, run_zoom
@@ -195,6 +195,22 @@ class TestCliZoom:
         with open(dump + "bt_gains.csv") as handle:
             header = handle.readline()
         assert header.startswith("bin,frame_0,")
+
+    def test_dump_matches_reference_post_filter(self, tmp_path, capsys):
+        path = tmp_path / "mix.wav"
+        write_wav(path, default_scene(seed=2).mixture, sample_format="float64")
+        dump = str(tmp_path / "d_")
+        assert main(["zoom", str(path), str(tmp_path / "out.wav"), "--dump", dump]) == 0
+        result = run_zoom(read_wav(path))
+        want = block_threshold_reference(result.beamformed_spec, result.sigma2)
+        _write_matrix_csv(tmp_path / "want_gains.csv", want.gains)
+        blocks = ["bin_start,frame_start,bins,frames,levels,v\n"] + [
+            f"{c.bin_start},{c.frame_start},{c.bins},{c.frames},{c.levels},{c.v}\n"
+            for c in want.choices
+        ]
+        assert Path(dump + "bt_blocks.csv").read_text() == "".join(blocks)
+        want_gains = (tmp_path / "want_gains.csv").read_bytes()
+        assert Path(dump + "bt_gains.csv").read_bytes() == want_gains
 
     def test_mono_input_exit_code(self, tmp_path):
         x = speech_like(0.5, FS, seed=37)
@@ -393,6 +409,15 @@ class TestCliSettings:
         again = [l for l in capsys.readouterr().out.splitlines() if l.startswith("config ")]
         assert again == echo
         assert first.read_bytes() == second.read_bytes()
+
+    def test_mpdr_overflow_is_data_error(self, tmp_path, capsys):
+        huge = tmp_path / "huge.wav"
+        mixture = default_scene(seed=1).mixture
+        write_wav(huge, AudioBuffer(1e200 * mixture.samples, FS), sample_format="float64")
+        assert main(["zoom", str(huge), str(tmp_path / "o.wav")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("audiozoom: ") and "input level overflows" in err
+        assert not (tmp_path / "o.wav").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("command", ["zoom", "sweep"])
