@@ -32,7 +32,6 @@ from .metrics import (
     signal_power,
 )
 from .mpdr import (
-    BinCovariance,
     MpdrWeights,
     apply_mpdr,
     design_mpdr,

@@ -105,9 +105,13 @@ def residual_variance(y1: Spectrogram, y2: Spectrogram, z: Spectrogram) -> np.nd
 def variance_floor(power: np.ndarray) -> float:
     """Variance below which a cell counts as interference-free.
 
-    VARIANCE_FLOOR_FACTOR of the mean power, and never below 1e-300.
+    VARIANCE_FLOOR_FACTOR of the mean power, and never below 1e-300. Raises
+    ValueError when the mean power overflows.
     """
-    mean = float(power.mean()) if power.size else 0.0
+    with np.errstate(over="ignore"):
+        mean = float(power.mean()) if power.size else 0.0
+    if not np.isfinite(mean):
+        raise ValueError("input level overflows the post-filter's mean power; scale the input down")
     return max(VARIANCE_FLOOR_FACTOR * mean, 1e-300)
 
 

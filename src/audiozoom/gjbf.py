@@ -89,12 +89,19 @@ def blocking_path(ch1: AudioBuffer, ch2: AudioBuffer) -> AudioBuffer:
     return AudioBuffer(x1 - x2, ch1.sample_rate)
 
 
+def _input_overflow(kind: str, flag: int) -> None:
+    raise ValueError("input level overflows the adaptive filter; scale the input down")
+
+
+# Only an out-of-range input level can overflow the filter; in-range runs are unaffected.
+@np.errstate(over="call", call=_input_overflow)
 def fdaf_gjbf(ch1: AudioBuffer, ch2: AudioBuffer, config: GjbfConfig = GjbfConfig()) -> tuple:
     """Run the adaptive beamformer over a two-channel recording.
 
     Returns (z, y_b, state): the enhanced output and the adapted
     interference estimate, both re-aligned to the input timebase, plus the
-    final filter state.
+    final filter state. Raises ValueError when the input level overflows the
+    filter's arithmetic and RuntimeError when the taps diverge.
     """
     x1, x2 = _paired_mono(ch1, ch2)
     n_samples = x1.size

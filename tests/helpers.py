@@ -150,3 +150,31 @@ def istft_reference(spec, length=None):
         else:
             out = np.concatenate([out, np.zeros(length - out.size)])
     return AudioBuffer(out, spec.sample_rate)
+
+
+def mpdr_weights_reference(matrix, steering, alpha):
+    """Scalar per-bin form of mpdr.mpdr_weights for one 2x2 covariance.
+
+    Scales the loaded entries by the power of two nearest the largest,
+    solves (R + alpha*I) w = d through the adjugate, undoes the scale and
+    normalises by d^H w. Serves as the oracle for the batched solve.
+    """
+    if alpha < 0:
+        raise ValueError("loading must be nonnegative")
+    matrix = np.asarray(matrix, dtype=np.complex128)
+    d = np.asarray(steering, dtype=np.complex128)
+    entries = (matrix[0, 0] + alpha, matrix[0, 1], matrix[1, 0], matrix[1, 1] + alpha)
+    peak = max(abs(x) for x in entries)
+    if 0.0 < peak < np.finfo(np.float64).tiny:
+        raise np.linalg.LinAlgError("covariance below the normal float range; increase loading")
+    unit = np.ldexp(1.0, -int(np.frexp(peak)[1]))
+    a, b, c, e = (x * unit for x in entries)
+    det = a * e - b * c
+    scale = max(abs(a), abs(b), abs(c), abs(e), 1e-300)
+    if abs(det) <= 1e-15 * scale * scale:
+        raise np.linalg.LinAlgError("degenerate covariance; increase loading")
+    num = np.array([e * d[0] - b * d[1], -c * d[0] + a * d[1]]) / det * unit
+    den = d.conj() @ num
+    if den == 0:
+        raise np.linalg.LinAlgError("degenerate covariance; increase loading")
+    return num / den

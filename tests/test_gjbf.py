@@ -1,5 +1,7 @@
 """Tests for the adaptive beamformer: paths, FDAF, SINR map, length sweep."""
 
+import warnings
+
 import numpy as np
 import pytest
 from helpers import FS, block_lms_reference, default_scene, white_noise_buffer
@@ -193,6 +195,16 @@ class TestFdaf:
         config = GjbfConfig(filter_length=32, step_size=1.9, normalized=False)
         with pytest.raises(RuntimeError, match="step size too large"):
             fdaf_gjbf(x1, x2, config)
+
+    @pytest.mark.parametrize("a", [1e155, 1e200])
+    def test_overflowing_input_is_value_error(self, a):
+        mixture = default_scene(seed=1).mixture
+        ch1, ch2 = (AudioBuffer(a * mixture.samples[m], FS) for m in range(2))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="input level overflows"):
+                fdaf_gjbf(ch1, ch2)
+        assert not caught
 
     def test_short_signal_rejected(self):
         x = AudioBuffer(np.zeros(100), FS)

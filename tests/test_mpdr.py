@@ -1,12 +1,15 @@
 """Tests for covariance estimation and the distortionless beamformer."""
 
+import warnings
+
 import numpy as np
 import pytest
-from helpers import default_scene
+from helpers import default_scene, mpdr_weights_reference
 
+from audiozoom import mpdr
 from audiozoom.dsp import AudioBuffer, StftParams, stft
 from audiozoom.mpdr import (
-    BinCovariance,
+    LOADING_FACTOR,
     apply_mpdr,
     design_mpdr,
     estimate_covariance,
@@ -51,13 +54,13 @@ class TestEstimateCovariance:
         covs = estimate_covariance(s1, s2)
         # Off-diagonal equals diagonal for identical channels; check mid bins.
         for cov in covs[20:100:17]:
-            ratio = abs(cov.matrix[0, 1]) / abs(cov.matrix[0, 0])
+            ratio = abs(cov[0, 1]) / abs(cov[0, 0])
             assert 0.99 <= ratio <= 1.01
 
     def test_zero_input_gives_zero_matrix(self):
         s1, s2 = self._specs(np.zeros(1024), np.zeros(1024))
         for cov in estimate_covariance(s1, s2):
-            assert np.all(cov.matrix == 0)
+            assert np.all(cov == 0)
 
     def test_single_frame_is_rank_one_outer_product(self):
         rng = np.random.default_rng(1)
@@ -65,20 +68,19 @@ class TestEstimateCovariance:
         x2 = rng.standard_normal(256)
         s1, s2 = self._specs(x1, x2)
         covs = estimate_covariance(s1, s2)
-        assert covs[0].frame_count == 1
         f = 10
         y = np.array([s1.coefficients[f, 0], s2.coefficients[f, 0]])
-        assert np.allclose(covs[f].matrix, np.outer(y, y.conj()))
-        assert abs(np.linalg.eigvalsh(covs[f].matrix)[0]) <= 1e-9 * abs(
-            np.linalg.eigvalsh(covs[f].matrix)[1]
+        assert np.allclose(covs[f], np.outer(y, y.conj()))
+        assert abs(np.linalg.eigvalsh(covs[f])[0]) <= 1e-9 * abs(
+            np.linalg.eigvalsh(covs[f])[1]
         )
 
     def test_hermitian_psd_on_random_input(self):
         rng = np.random.default_rng(2)
         s1, s2 = self._specs(rng.standard_normal(4096), rng.standard_normal(4096))
         for cov in estimate_covariance(s1, s2):
-            assert cov.is_hermitian()
-            eigs = np.linalg.eigvalsh(cov.matrix)
+            assert np.array_equal(cov, cov.conj().swapaxes(-1, -2))
+            eigs = np.linalg.eigvalsh(cov)
             assert eigs.min() >= -1e-10 * max(eigs.max(), 1e-300)
 
     def test_dimension_mismatch_rejected(self):
@@ -93,7 +95,7 @@ class TestEstimateCovariance:
 class TestMpdrWeights:
     def test_isotropic_covariance_gives_matched_filter(self):
         rng = np.random.default_rng(4)
-        cov = BinCovariance(np.eye(2), 0, 10)
+        cov = np.eye(2)
         for _ in range(10):
             d = _random_unit_steering(rng)
             w = mpdr_weights(cov, d, alpha=0.0)
@@ -101,9 +103,9 @@ class TestMpdrWeights:
 
     def test_huge_loading_converges_to_steering(self):
         rng = np.random.default_rng(5)
-        cov = BinCovariance(_random_psd(rng), 0, 10)
+        cov = _random_psd(rng)
         d = _random_unit_steering(rng)
-        w = mpdr_weights(cov, d, alpha=1e12 * np.real(np.trace(cov.matrix)))
+        w = mpdr_weights(cov, d, alpha=1e12 * np.real(np.trace(cov)))
         assert np.allclose(w, d / np.vdot(d, d).real, atol=1e-9)
 
     def test_interferer_null_with_small_loading(self):
@@ -117,32 +119,32 @@ class TestMpdrWeights:
         phase_sep = np.abs(np.angle(d_interf[:, 1] * np.conj(d_target[:, 1])))
         for f in np.nonzero(phase_sep >= 0.5)[0][::16]:
             r = 10.0 * np.outer(d_interf[f], d_interf[f].conj())
-            cov = BinCovariance(r + 1e-4 * np.trace(r).real / 2 * np.eye(2), f, 100)
+            cov = r + 1e-4 * np.trace(r).real / 2 * np.eye(2)
             w = mpdr_weights(cov, d_target[f], alpha=0.0)
             gain_target = abs(np.vdot(w, d_target[f])) ** 2
             gain_interf = abs(np.vdot(w, d_interf[f])) ** 2
             assert 10 * np.log10(gain_target / gain_interf) >= 20.0
             # Oracle: an independent solve plus random constrained probes
             # must not beat the closed form.
-            w_ref = np.linalg.solve(cov.matrix, d_target[f])
+            w_ref = np.linalg.solve(cov, d_target[f])
             w_ref = w_ref / (d_target[f].conj() @ w_ref)
             assert np.allclose(w, w_ref, atol=1e-9)
 
     def test_output_power_optimality(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
-            cov = BinCovariance(_random_psd(rng), 0, 10)
+            cov = _random_psd(rng)
             d = _random_unit_steering(rng)
             w = mpdr_weights(cov, d, alpha=0.0)
-            base = np.real(w.conj() @ cov.matrix @ w)
+            base = np.real(w.conj() @ cov @ w)
             for _ in range(200):
                 probe = _constrained(rng, d)
                 assert np.vdot(probe, d) == pytest.approx(1.0, abs=1e-9)
-                assert np.real(probe.conj() @ cov.matrix @ probe) >= base - 1e-9 * base
+                assert np.real(probe.conj() @ cov @ probe) >= base - 1e-9 * base
 
     def test_loading_monotonically_approaches_steering(self):
         rng = np.random.default_rng(7)
-        cov = BinCovariance(_random_psd(rng), 0, 10)
+        cov = _random_psd(rng)
         d = _random_unit_steering(rng)
         goal = d / np.vdot(d, d).real
         alpha = scaled_loading(cov)
@@ -150,12 +152,12 @@ class TestMpdrWeights:
         assert all(a >= b - 1e-12 for a, b in zip(dist, dist[1:]))
 
     def test_singular_matrix_rejected(self):
-        cov = BinCovariance(np.zeros((2, 2)), 0, 1)
+        cov = np.zeros((2, 2))
         with pytest.raises(np.linalg.LinAlgError, match="loading"):
             mpdr_weights(cov, np.ones(2), alpha=0.0)
 
     def test_negative_loading_rejected(self):
-        cov = BinCovariance(np.eye(2), 0, 1)
+        cov = np.eye(2)
         with pytest.raises(ValueError, match="nonnegative"):
             mpdr_weights(cov, np.ones(2), alpha=-1.0)
 
@@ -191,7 +193,7 @@ class TestApplyMpdr:
         y1 = stft(scene.mixture.channel(0), params)
         y2 = stft(scene.mixture.channel(1), params)
         covs = estimate_covariance(y1, y2)
-        alpha = 1e-3 * np.real(np.trace(covs[50].matrix))
+        alpha = 1e-3 * np.real(np.trace(covs[50]))
         weights = design_mpdr(y1, y2, alpha=alpha)
         out = apply_mpdr(y1, y2, weights)
         target = stft(scene.target_image.channel(0), params)
@@ -225,7 +227,109 @@ class TestAmplitudeRange:
         with pytest.raises(ValueError, match="input level overflows"):
             run_zoom(scaled)
 
+    def test_post_filter_overflow_is_value_error(self):
+        # The covariance is still finite at 1e152, the post-filter's mean power is not.
+        scaled, _ = self._scaled(1e152)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="input level overflows the post-filter"):
+                run_zoom(scaled)
+        assert not caught
+
     def test_underflowing_power_is_degenerate(self):
         scaled, _ = self._scaled(1e-200)
         with pytest.raises(np.linalg.LinAlgError, match="degenerate"):
             run_zoom(scaled)
+
+
+class TestSteeringForBins:
+    @pytest.mark.parametrize("azimuth", [90.0, 60.0, 137.3])
+    def test_matches_per_bin_formula(self, azimuth):
+        geom = two_mic_array(0.10)
+        freqs = np.arange(257) * FS / 512
+        per_bin = np.stack([np.exp(-2j * np.pi * f * geom.delays(azimuth)) for f in freqs])
+        assert np.array_equal(steering_for_bins(geom, azimuth, freqs), per_bin)
+
+    def test_negative_frequency_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            steering_for_bins(two_mic_array(0.10), 90.0, np.array([0.0, 100.0, -1.0]))
+
+
+class TestBatchedMatchesReference:
+    """The one-call solve over all bins against the scalar per-bin oracle."""
+
+    @staticmethod
+    def _oracle_design(s1, s2, alpha):
+        # Stacked-channel covariance, then one scalar solve per bin.
+        stacked = np.stack([s1.coefficients, s2.coefficients])
+        covs = np.einsum("afk,bfk->fab", stacked, stacked.conj()) / stacked.shape[2]
+        loading = np.array(
+            [LOADING_FACTOR * np.real(np.trace(m)) / 2.0 if alpha is None else alpha for m in covs]
+        )
+        weights = np.array([mpdr_weights_reference(m, np.ones(2), a) for m, a in zip(covs, loading)])
+        return weights, loading
+
+    @staticmethod
+    def _outcome(solve):
+        try:
+            return solve(), None
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            return None, (type(exc), str(exc))
+
+    @pytest.mark.parametrize("alpha", [None, 1e-3])
+    @pytest.mark.parametrize(
+        "params", [StftParams(), StftParams(256, 128, "hann")], ids=["default", "256-128-hann"]
+    )
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_design_matches_oracle(self, seed, params, alpha):
+        mixture = default_scene(seed).mixture
+        s1 = stft(mixture.channel(0), params)
+        s2 = stft(mixture.channel(1), params)
+        got = design_mpdr(s1, s2, alpha=alpha)
+        weights, loading = self._oracle_design(s1, s2, alpha)
+        assert np.array_equal(got.loading, loading)
+        err = np.abs(got.weights - weights).max(axis=1)
+        assert np.all(err <= 1e-14 * np.abs(weights).max(axis=1))
+
+    @pytest.mark.parametrize(
+        "bad", [None, "zero", "singular", "subnormal", "zero_steering", "negative_loading"]
+    )
+    def test_stack_errors_match_oracle(self, bad):
+        rng = np.random.default_rng(11)
+        covs = np.array([_random_psd(rng) for _ in range(9)])
+        steering = np.array([_random_unit_steering(rng) for _ in range(9)])
+        alpha = np.zeros(9)
+        if bad == "zero":
+            covs[4] = 0.0
+        elif bad == "singular":
+            covs[4] = np.outer(steering[4], steering[4].conj())
+        elif bad == "subnormal":
+            covs[4] = 1e-310 * np.eye(2)
+        elif bad == "zero_steering":
+            steering[4] = 0.0
+        elif bad == "negative_loading":
+            alpha[4] = -1.0
+        got, got_error = self._outcome(lambda: mpdr_weights(covs, steering, alpha))
+        want, want_error = self._outcome(
+            lambda: np.array([mpdr_weights_reference(*args) for args in zip(covs, steering, alpha)])
+        )
+        assert got_error == want_error
+        assert (got_error is None) == (bad is None)
+        if bad is None:
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize(
+        "params", [StftParams(256, 128), StftParams(2048, 1024)], ids=["129-bins", "1025-bins"]
+    )
+    def test_design_solves_all_bins_in_one_call(self, monkeypatch, params):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return mpdr_weights(*args, **kwargs)
+
+        monkeypatch.setattr(mpdr, "mpdr_weights", counting)
+        mixture = default_scene(seed=1).mixture
+        weights = design_mpdr(stft(mixture.channel(0), params), stft(mixture.channel(1), params))
+        assert weights.weights.shape == (params.bin_count, 2)
+        assert calls == [(params.bin_count, 2, 2)]

@@ -419,17 +419,41 @@ class TestCliSettings:
         assert err.startswith("audiozoom: ") and "input level overflows" in err
         assert not (tmp_path / "o.wav").exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("command", ["zoom", "sweep"])
-    def test_gjbf_divergence_is_data_error(self, tmp_path, capsys, command):
+    @staticmethod
+    def _huge_gjbf_wav(tmp_path):
         x = speech_like(1.0, FS, seed=46).samples[0]
         huge = tmp_path / "huge.wav"
         stereo = AudioBuffer(1e200 * np.vstack([x, np.roll(x, 3)]), FS)
         write_wav(huge, stereo, sample_format="float64")
+        return huge
+
+    @pytest.mark.parametrize("command", ["zoom", "sweep"])
+    def test_gjbf_divergence_is_data_error(self, tmp_path, capsys, command):
+        huge = self._huge_gjbf_wav(tmp_path)
         tail = {
             "zoom": [str(tmp_path / "o.wav"), "--beamformer", "gjbf"],
             "sweep": ["--lengths", "32,64", "--out", str(tmp_path / "c.csv")],
         }
         assert main([command, str(huge), *tail[command]]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("audiozoom: ") and "step size too large" in err
+        assert err.startswith("audiozoom: ") and "input level overflows" in err
+
+    def test_failed_length_sweep_in_zoom_is_data_error(self, tmp_path, capsys):
+        # Every candidate fails, so run_zoom raises RuntimeError, not ValueError.
+        huge = self._huge_gjbf_wav(tmp_path)
+        out = tmp_path / "o.wav"
+        argv = ["zoom", str(huge), str(out), "--beamformer", "gjbf", "--gjbf-length", "auto"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("audiozoom: all candidate lengths failed: input level overflows")
+        assert not out.exists()
+
+    def test_post_filter_overflow_is_data_error(self, tmp_path, capsys):
+        # At 1e152 the MPDR covariance is still finite; the post-filter's mean power is not.
+        huge = tmp_path / "huge.wav"
+        mixture = default_scene(seed=1).mixture
+        write_wav(huge, AudioBuffer(1e152 * mixture.samples, FS), sample_format="float64")
+        assert main(["zoom", str(huge), str(tmp_path / "o.wav")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("audiozoom: ") and "input level overflows the post-filter" in err
+        assert not (tmp_path / "o.wav").exists()
