@@ -92,14 +92,19 @@ def residual_variance(y1: Spectrogram, y2: Spectrogram, z: Spectrogram) -> np.nd
     """Residual interference variance per TF cell from the beamformed output.
 
     sigma^2 = (|Y1 - Z|^2 + |Y2 - Z|^2) / 2, treating the beamformed output
-    as the best available stand-in for the clean target.
+    as the best available stand-in for the clean target. Raises ValueError
+    when a cell's variance overflows.
     """
     shapes = {y1.coefficients.shape, y2.coefficients.shape, z.coefficients.shape}
     if len(shapes) != 1:
         raise ValueError("spectrogram dimensions must match")
-    d1 = np.abs(y1.coefficients - z.coefficients) ** 2
-    d2 = np.abs(y2.coefficients - z.coefficients) ** 2
-    return 0.5 * (d1 + d2)
+    with np.errstate(over="ignore"):
+        sigma2 = np.abs(y1.coefficients - z.coefficients) ** 2
+        sigma2 += np.abs(y2.coefficients - z.coefficients) ** 2
+        sigma2 *= 0.5
+    if not np.all(np.isfinite(sigma2)):
+        raise ValueError("input level overflows the residual variance; scale the input down")
+    return sigma2
 
 
 def variance_floor(power: np.ndarray) -> float:
@@ -278,7 +283,8 @@ def block_threshold_gains(
     corner), and each region picks every block's tiling in one batched pass.
     """
     coeffs = z.coefficients if isinstance(z, Spectrogram) else np.asarray(z)
-    power = np.abs(coeffs) ** 2
+    with np.errstate(over="ignore"):  # variance_floor rejects an overflowed power
+        power = np.abs(coeffs) ** 2
     sigma2 = np.asarray(sigma2, dtype=np.float64)
     if power.shape != sigma2.shape:
         raise ValueError("variance map dimensions must match the spectrogram")

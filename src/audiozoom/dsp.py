@@ -123,12 +123,6 @@ class Spectrogram:
         return Spectrogram(coefficients, self.params, self.sample_rate)
 
 
-def _frame_starts(n_samples: int, frame: int, hop: int) -> np.ndarray:
-    # Last frame is zero-padded so every input sample is analyzed.
-    n_frames = 1 + -(-(n_samples - frame) // hop)
-    return hop * np.arange(n_frames)
-
-
 def stft(signal: AudioBuffer, params: StftParams = StftParams()) -> Spectrogram:
     """Windowed one-sided STFT of a mono buffer.
 
@@ -141,11 +135,12 @@ def stft(signal: AudioBuffer, params: StftParams = StftParams()) -> Spectrogram:
     frame, hop = params.frame_length, params.hop_length
     if x.size < frame:
         raise ValueError("insufficient samples: signal shorter than one frame")
-    starts = _frame_starts(x.size, frame, hop)
-    padded = np.zeros(starts[-1] + frame)
+    # Last frame is zero-padded so every input sample is analyzed.
+    n_frames = 1 + -(-(x.size - frame) // hop)
+    padded = np.zeros((n_frames - 1) * hop + frame)
     padded[: x.size] = x
-    frames = padded[starts[:, None] + np.arange(frame)]
-    frames *= make_window(params.window, frame)
+    window = make_window(params.window, frame)
+    frames = np.lib.stride_tricks.sliding_window_view(padded, frame)[::hop] * window
     return Spectrogram(np.fft.rfft(frames, axis=1).T, params, signal.sample_rate)
 
 
@@ -217,6 +212,20 @@ def fft_convolve(signal: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     if x.size == 0:
         return np.zeros(0)
     n = x.size + h.size - 1
-    nfft = 1 << (n - 1).bit_length()
+    nfft = fast_fft_length(n)
     out = np.fft.irfft(np.fft.rfft(x, nfft) * np.fft.rfft(h, nfft), nfft)
     return out[:n]
+
+
+def fast_fft_length(n: int) -> int:
+    """Smallest 2**a * 3**b * 5**c >= n, a length NumPy's FFT handles fast."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        odd = p5
+        while odd < best:
+            # The least power of two that lifts 3**b * 5**c to at least n.
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        p5 *= 5
+    return best

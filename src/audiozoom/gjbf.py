@@ -159,7 +159,8 @@ def fdaf_gjbf(ch1: AudioBuffer, ch2: AudioBuffer, config: GjbfConfig = GjbfConfi
 
 def _checked_power(z: Spectrogram | np.ndarray, sigma2: np.ndarray) -> tuple:
     coeffs = z.coefficients if isinstance(z, Spectrogram) else np.asarray(z)
-    power = np.abs(coeffs) ** 2 if np.iscomplexobj(coeffs) else coeffs.astype(np.float64)
+    with np.errstate(over="ignore"):  # variance_floor rejects an overflowed power
+        power = np.abs(coeffs) ** 2 if np.iscomplexobj(coeffs) else coeffs.astype(np.float64)
     sigma2 = np.asarray(sigma2, dtype=np.float64)
     if power.shape != sigma2.shape:
         raise ValueError("dimensions must match")

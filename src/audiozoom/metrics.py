@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dsp import AudioBuffer, Spectrogram, fft_convolve
+from .dsp import AudioBuffer, Spectrogram, fast_fft_length
 
 DB_CAP = 200.0
 
@@ -54,12 +54,14 @@ def align_delay_and_scale(estimate: np.ndarray, reference: np.ndarray, max_shift
     reference = np.asarray(reference, dtype=np.float64)
     n = min(estimate.size, reference.size)
     estimate, reference = estimate[:n], reference[:n]
-    corr = fft_convolve(reference, estimate[::-1])
+    # corr[k] = sum ref[i] * est[i+k]; a circular correlation of length
+    # size >= n + max_shift does not wrap at |k| <= max_shift, and a negative
+    # lag k reads corr[size + k].
+    size = fast_fft_length(n + max_shift)
+    corr = np.fft.irfft(np.conj(np.fft.rfft(reference, size)) * np.fft.rfft(estimate, size), size)
     lags = np.arange(-max_shift, max_shift + 1)
-    idx = (n - 1) - lags  # corr[n-1-k] = sum ref[i] * est[i+k]
-    keep = (idx >= 0) & (idx < corr.size)
-    lags, idx = lags[keep], idx[keep]
-    shift = int(lags[np.argmax(np.abs(corr[idx]))])
+    lags = lags[np.abs(lags) < n]  # lags at which the pair overlaps
+    shift = int(lags[np.argmax(np.abs(corr[lags]))])
     lo, hi = _overlap(n, shift)
     aligned = np.zeros(n)
     aligned[lo:hi] = estimate[lo + shift : hi + shift]

@@ -68,6 +68,33 @@ def steering_vector(
     return np.exp(-2j * np.pi * frequency[..., None] * geometry.delays(azimuth_deg))
 
 
+def _delay_kernel(delay: float, taps: int = 31) -> tuple:
+    """(first, kernel) such that y[n] = sum_k kernel[k] * x[n - first - k].
+
+    A delay within a nanosample of an integer snaps to it and gets the
+    one-tap kernel [1.0], an exact shift; this keeps equal-delay arrivals
+    bit-identical across channels. Any other delay gets a windowed-sinc
+    interpolator (symmetric, hence exact group delay in its passband).
+    """
+    nearest = round(delay)
+    if abs(delay - nearest) < 1e-9:
+        return nearest, np.ones(1)
+    shift = int(np.floor(delay))
+    half = (taps - 1) // 2
+    t = np.arange(taps) - half - (delay - shift)
+    support = (taps + 1) / 2.0
+    window = 0.42 + 0.5 * np.cos(np.pi * t / support) + 0.08 * np.cos(2.0 * np.pi * t / support)
+    kernel = np.sinc(t) * window
+    return shift - half, kernel / kernel.sum()
+
+
+def _add_shifted(out: np.ndarray, x: np.ndarray, shift: int) -> None:
+    # out[n] += x[n - shift] wherever both indices are in range.
+    lo, hi = max(0, shift), min(out.shape[-1], x.shape[-1] + shift)
+    if hi > lo:
+        out[..., lo:hi] += x[..., lo - shift : hi - shift]
+
+
 def fractional_delay(signal: AudioBuffer, delay_s: float, taps: int = 31) -> AudioBuffer:
     """Delay a buffer by a possibly non-integer number of samples.
 
@@ -80,31 +107,13 @@ def fractional_delay(signal: AudioBuffer, delay_s: float, taps: int = 31) -> Aud
     total = delay_s * signal.sample_rate
     if abs(total) >= signal.length:
         raise ValueError("delay exceeds signal length")
-    # Snap to the exact-shift path when within a nanosample of an integer;
-    # keeps equal-delay arrivals bit-identical across channels.
-    nearest = round(total)
-    if abs(total - nearest) < 1e-9:
-        total = float(nearest)
-    shift = int(np.floor(total))
-    frac = total - shift
+    first, kernel = _delay_kernel(total, taps)
     out = np.zeros_like(signal.samples)
-    if frac == 0.0:
-        src_lo, src_hi = max(0, -shift), min(signal.length, signal.length - shift)
-        out[:, src_lo + shift : src_hi + shift] = signal.samples[:, src_lo:src_hi]
-        return AudioBuffer(out, signal.sample_rate)
-    half = (taps - 1) // 2
-    t = np.arange(taps) - half - frac
-    support = (taps + 1) / 2.0
-    window = 0.42 + 0.5 * np.cos(np.pi * t / support) + 0.08 * np.cos(2.0 * np.pi * t / support)
-    kernel = np.sinc(t) * window
-    kernel /= kernel.sum()
-    start = half - shift  # y[n] = conv[n + start]
-    for ch in range(signal.channel_count):
-        conv = fft_convolve(signal.samples[ch], kernel)
-        lo = max(0, -start)
-        hi = min(signal.length, conv.size - start)
-        if hi > lo:
-            out[ch, lo:hi] = conv[lo + start : hi + start]
+    if kernel.size == 1:
+        _add_shifted(out, signal.samples, first)
+    else:
+        for ch in range(signal.channel_count):
+            _add_shifted(out[ch], fft_convolve(signal.samples[ch], kernel), first)
     return AudioBuffer(out, signal.sample_rate)
 
 
@@ -187,14 +196,30 @@ def _mean_power(samples: np.ndarray) -> float:
 
 
 def _source_image(source: SourceSpec, geometry: ArrayGeometry, echo_taps, length: int) -> np.ndarray:
-    mono = AudioBuffer(source.signal.samples[:, :length], source.signal.sample_rate)
-    channels = []
-    for tau in geometry.delays(source.azimuth_deg):
-        img = fractional_delay(mono, float(tau)).samples[0]
-        for delay, gain in echo_taps:
-            img = img + gain * fractional_delay(mono, float(tau) + delay).samples[0]
-        channels.append(img)
-    return np.stack(channels)
+    # Per mic: whole-sample paths are exact shift-adds in path order (direct
+    # path first); all fractional paths share one FIR and one convolution.
+    mono = source.signal.samples[0, :length]
+    rate = source.signal.sample_rate
+    paths = ((0.0, 1.0),) + tuple(echo_taps)
+    image = np.zeros((geometry.mic_count, length))
+    for img, tau in zip(image, geometry.delays(source.azimuth_deg)):
+        fractional = []
+        for delay, gain in paths:
+            total = (float(tau) + delay) * rate
+            if abs(total) >= length:
+                raise ValueError("delay exceeds signal length")
+            first, kernel = _delay_kernel(total)
+            if kernel.size == 1:
+                _add_shifted(img, gain * mono, first)
+            else:
+                fractional.append((first, gain * kernel))
+        if fractional:
+            lead = min(first for first, _ in fractional)
+            fir = np.zeros(max(first + k.size for first, k in fractional) - lead)
+            for first, k in fractional:
+                _add_shifted(fir, k, first - lead)
+            _add_shifted(img, fft_convolve(mono, fir), lead)
+    return image
 
 
 def synthesize_mixture(

@@ -178,3 +178,83 @@ def mpdr_weights_reference(matrix, steering, alpha):
     if den == 0:
         raise np.linalg.LinAlgError("degenerate covariance; increase loading")
     return num / den
+
+
+def _pow2_fft_convolve(x, h):
+    # Full linear convolution through a power-of-two FFT.
+    n = x.size + h.size - 1
+    nfft = 1 << (n - 1).bit_length()
+    return np.fft.irfft(np.fft.rfft(x, nfft) * np.fft.rfft(h, nfft), nfft)[:n]
+
+
+def _fractional_delay_1d(x, total, taps=31):
+    # One path: snap within a nanosample to an exact shift, else a
+    # windowed-sinc interpolator through a full-length FFT convolution.
+    if abs(total) >= x.size:
+        raise ValueError("delay exceeds signal length")
+    nearest = round(total)
+    if abs(total - nearest) < 1e-9:
+        total = float(nearest)
+    shift = int(np.floor(total))
+    frac = total - shift
+    out = np.zeros_like(x)
+    if frac == 0.0:
+        src_lo, src_hi = max(0, -shift), min(x.size, x.size - shift)
+        out[src_lo + shift : src_hi + shift] = x[src_lo:src_hi]
+        return out
+    half = (taps - 1) // 2
+    t = np.arange(taps) - half - frac
+    support = (taps + 1) / 2.0
+    window = 0.42 + 0.5 * np.cos(np.pi * t / support) + 0.08 * np.cos(2.0 * np.pi * t / support)
+    kernel = np.sinc(t) * window
+    kernel /= kernel.sum()
+    start = half - shift
+    conv = _pow2_fft_convolve(x, kernel)
+    lo, hi = max(0, -start), min(x.size, conv.size - start)
+    if hi > lo:
+        out[lo:hi] = conv[lo + start : hi + start]
+    return out
+
+
+def source_image_reference(source, geometry, echo_taps, length):
+    """Per-path form of simulate._source_image.
+
+    Delays the cropped source once per propagation path, each fractional
+    path with its own FFT convolution, and sums the paths per mic in path
+    order. Serves as the oracle for the one-convolution-per-mic simulator.
+    """
+    mono = source.signal.samples[0, :length]
+    rate = source.signal.sample_rate
+    channels = []
+    for tau in geometry.delays(source.azimuth_deg):
+        img = _fractional_delay_1d(mono, float(tau) * rate)
+        for delay, gain in echo_taps:
+            img = img + gain * _fractional_delay_1d(mono, (float(tau) + delay) * rate)
+        channels.append(img)
+    return np.stack(channels)
+
+
+def align_delay_and_scale_reference(estimate, reference, max_shift=512):
+    """Full-correlation form of metrics.align_delay_and_scale.
+
+    Computes the whole linear cross-correlation, reads the lags in
+    [-max_shift, max_shift] that overlap, and fits the least-squares gain
+    over the overlap. Serves as the oracle for the bounded-lag correlation.
+    """
+    estimate = np.asarray(estimate, dtype=np.float64)
+    reference = np.asarray(reference, dtype=np.float64)
+    n = min(estimate.size, reference.size)
+    estimate, reference = estimate[:n], reference[:n]
+    corr = _pow2_fft_convolve(reference, estimate[::-1])
+    lags = np.arange(-max_shift, max_shift + 1)
+    idx = (n - 1) - lags  # corr[n-1-k] = sum ref[i] * est[i+k]
+    keep = (idx >= 0) & (idx < corr.size)
+    lags, idx = lags[keep], idx[keep]
+    shift = int(lags[np.argmax(np.abs(corr[idx]))])
+    lo, hi = max(0, -shift), min(n, n - shift)
+    aligned = np.zeros(n)
+    aligned[lo:hi] = estimate[lo + shift : hi + shift]
+    seg = aligned[lo:hi]
+    denom = float(seg @ seg)
+    gain = float(reference[lo:hi] @ seg) / denom if denom > 0 else 0.0
+    return gain * aligned, shift, gain

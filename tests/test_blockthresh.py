@@ -1,5 +1,7 @@
 """Tests for residual variance, tiling enumeration, and block thresholding."""
 
+import warnings
+
 import numpy as np
 import pytest
 from helpers import FS, block_threshold_reference, default_scene
@@ -48,6 +50,21 @@ class TestResidualVariance:
         down = _spec(z.coefficients - e)
         out = residual_variance(up, down, z)
         assert np.allclose(out, np.abs(e) ** 2)
+
+    def test_matches_formula_exactly(self):
+        y1, y2, z = self._three(seed=4)
+        d1 = np.abs(y1.coefficients - z.coefficients) ** 2
+        d2 = np.abs(y2.coefficients - z.coefficients) ** 2
+        assert np.array_equal(residual_variance(y1, y2, z), 0.5 * (d1 + d2))
+
+    @pytest.mark.parametrize("a", [1e154, 1e200])
+    def test_overflow_is_value_error(self, a):
+        y1, y2, z = self._three(seed=5)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="input level overflows the residual variance"):
+                residual_variance(_spec(a * y1.coefficients), _spec(a * y2.coefficients), z)
+        assert not caught
 
     def test_broadside_target_scene_variance_well_below_output(self):
         scene = default_scene(seed=3, duration_s=1.0)
@@ -235,6 +252,14 @@ class TestApplyBlockThreshold:
         out = apply_block_threshold(spec, sigma2)
         rel = np.abs(out.coefficients - spec.coefficients) / np.abs(spec.coefficients)
         assert rel.max() <= 1e-6
+
+    def test_overflowing_power_is_value_error(self):
+        spec, _ = self._random_spec(10)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="input level overflows the post-filter"):
+                block_threshold_gains(1e200 * spec.coefficients, np.ones(spec.coefficients.shape))
+        assert not caught
 
     def test_matched_noise_mostly_suppressed(self):
         rng = np.random.default_rng(9)

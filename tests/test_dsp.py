@@ -9,6 +9,7 @@ from audiozoom.dsp import (
     Spectrogram,
     StftParams,
     check_cola,
+    fast_fft_length,
     fft_convolve,
     istft,
     make_window,
@@ -201,6 +202,60 @@ class TestFftConvolve:
     def test_empty_kernel_rejected(self):
         with pytest.raises(ValueError, match="empty kernel"):
             fft_convolve(np.ones(4), np.zeros(0))
+
+
+class TestStftMatchesGather:
+    @pytest.mark.parametrize(
+        "params", [StftParams(), StftParams(256, 64, "hann"), StftParams(64, 64, "rect")]
+    )
+    @pytest.mark.parametrize("size", [512, 4001, 16000])
+    def test_bit_identical(self, params, size):
+        # Oracle: index-array gather of every frame from the zero-padded signal.
+        x = np.random.default_rng(size).standard_normal(size)
+        frame, hop = params.frame_length, params.hop_length
+        starts = hop * np.arange(1 + -(-(size - frame) // hop))
+        padded = np.zeros(starts[-1] + frame)
+        padded[:size] = x
+        frames = padded[starts[:, None] + np.arange(frame)]
+        frames *= make_window(params.window, frame)
+        want = np.fft.rfft(frames, axis=1).T
+        got = stft(AudioBuffer(x, 16000), params).coefficients
+        assert np.array_equal(got, want)
+
+
+class TestFastFftLength:
+    def test_minimal_five_smooth_length(self):
+        def smooth(m):
+            for p in (2, 3, 5):
+                while m % p == 0:
+                    m //= p
+            return m == 1
+
+        want = []
+        m = 1
+        for n in range(1, 10_001):
+            while not smooth(m) or m < n:
+                m += 1
+            want.append(m)
+        assert [fast_fft_length(n) for n in range(1, 10_001)] == want
+
+    def test_two_second_echo_scene_size(self):
+        assert fast_fft_length(32000 + 1295 - 1) == 33750
+
+    def test_matches_direct_convolution_on_random_lengths(self):
+        rng = np.random.default_rng(21)
+        for _ in range(40):
+            x = rng.standard_normal(int(rng.integers(1, 3000)))
+            h = rng.standard_normal(int(rng.choice([1, rng.integers(1, 400)])))
+            want = np.convolve(x, h)
+            got = fft_convolve(x, h)
+            assert got.size == want.size
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_one_tap_kernel(self):
+        x = np.random.default_rng(22).standard_normal(1001)
+        got = fft_convolve(x, [-2.5])
+        assert np.abs(got - (-2.5 * x)).max() <= 1e-12 * np.abs(2.5 * x).max()
 
 
 class TestAudioBuffer:

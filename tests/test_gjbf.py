@@ -298,6 +298,25 @@ class TestSelectFilterLength:
         with pytest.raises(ValueError, match="two candidate"):
             select_filter_length(x, x, [64], GjbfConfig())
 
+    def test_overflowing_output_fails_without_warnings(self):
+        # At 1e153 some lengths' FDAF runs finish; their residual variance overflows.
+        mixture = default_scene(seed=1).mixture
+        ch1, ch2 = (AudioBuffer(1e153 * mixture.samples[m], FS) for m in range(2))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(RuntimeError, match="input level overflows the residual variance"):
+                select_filter_length(ch1, ch2, [50, 250])
+        assert not caught
+
+    def test_overflowing_power_is_value_error(self):
+        z = np.full((5, 4), 1e200 + 0j)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for score in (mean_sinr_db, sinr_map):
+                with pytest.raises(ValueError, match="input level overflows"):
+                    score(z, np.ones((5, 4)))
+        assert not caught
+
     def test_mean_sinr_db_matches_manual_aggregation(self):
         scene = self._scene()
         params = StftParams()

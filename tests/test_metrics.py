@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from helpers import FS, default_scene
+from helpers import FS, align_delay_and_scale_reference, default_scene
 
 from audiozoom.dsp import AudioBuffer, StftParams, stft
 from audiozoom.gjbf import GjbfConfig, fdaf_gjbf
@@ -19,6 +19,7 @@ from audiozoom.metrics import (
 )
 from audiozoom.mpdr import apply_mpdr, design_mpdr
 from audiozoom.pipeline import frozen_stage, run_zoom, PipelineConfig
+from audiozoom.simulate import echo_taps_for_t60
 
 
 class TestOsinr:
@@ -217,3 +218,65 @@ class TestProjection:
         fitted, residual = project_onto_reference(est, reference)
         got = osinr_db(fitted, residual)
         assert got == pytest.approx(0.0, abs=0.5)
+
+
+class TestAlignmentMatchesReference:
+    @staticmethod
+    def _assert_same(estimate, reference, max_shift):
+        a_got, s_got, g_got = align_delay_and_scale(estimate, reference, max_shift)
+        a_want, s_want, g_want = align_delay_and_scale_reference(estimate, reference, max_shift)
+        assert s_got == s_want
+        assert g_got == g_want
+        assert np.array_equal(a_got, a_want)
+        return s_got
+
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_scored_outputs(self, seed):
+        echo = echo_taps_for_t60(0.15) if seed % 2 else ()
+        scene = default_scene(seed, echo_taps=echo)
+        reference = scene.target_image.samples.mean(axis=0)
+        for beamformer in ("mpdr", "gjbf"):
+            result = run_zoom(scene.mixture, PipelineConfig(beamformer=beamformer))
+            for estimate in (result.output.samples[0], result.beamformed.samples[0]):
+                self._assert_same(estimate, reference, 512)
+                self._assert_same(reference, estimate, 512)  # project_onto_reference's order
+
+    @pytest.mark.parametrize("max_shift", [64, 512])
+    def test_synthetic_delays(self, max_shift):
+        rng = np.random.default_rng(max_shift)
+        ref = rng.standard_normal(4000)
+        for delay in (0, 1, -1, max_shift, -max_shift, max_shift + 1, -(max_shift + 1)):
+            est = np.zeros_like(ref)
+            if delay >= 0:
+                est[delay:] = 0.7 * ref[: ref.size - delay]
+            else:
+                est[:delay] = 0.7 * ref[-delay:]
+            est += 1e-3 * rng.standard_normal(ref.size)
+            shift = self._assert_same(est, ref, max_shift)
+            if abs(delay) <= max_shift:
+                assert shift == delay
+
+    @pytest.mark.parametrize("delay", [700, -700])
+    def test_delay_beyond_search_does_not_alias(self, delay):
+        # A circular correlation shorter than n + max_shift would fold lag 700 onto -300.
+        rng = np.random.default_rng(abs(delay))
+        ref = rng.standard_normal(1000)
+        est = 0.01 * rng.standard_normal(1000)
+        if delay > 0:
+            est[delay:] += ref[:-delay]
+        else:
+            est[:delay] += ref[-delay:]
+        assert abs(self._assert_same(est, ref, 512)) != 300
+
+    @pytest.mark.parametrize("n", [10, 300])
+    def test_signal_shorter_than_search(self, n):
+        rng = np.random.default_rng(n)
+        ref = rng.standard_normal(n)
+        est = np.roll(ref, 3) + 0.1 * rng.standard_normal(n)
+        assert self._assert_same(est, ref, 512) == 3
+
+    def test_estimate_longer_than_reference(self):
+        rng = np.random.default_rng(31)
+        ref = rng.standard_normal(2000)
+        est = np.concatenate([np.zeros(7), ref, rng.standard_normal(500)])
+        assert self._assert_same(est, ref, 64) == 7

@@ -1,6 +1,7 @@
 """End-to-end pipeline and command-line tests."""
 
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -446,6 +447,22 @@ class TestCliSettings:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("audiozoom: all candidate lengths failed: input level overflows")
+        assert not out.exists()
+
+    def test_length_sweep_overflow_is_data_error_without_warnings(self, tmp_path, capsys):
+        # At 1e153 some candidates' FDAF runs finish; their residual variance overflows.
+        huge = tmp_path / "huge.wav"
+        mixture = default_scene(seed=1).mixture
+        write_wav(huge, AudioBuffer(1e153 * mixture.samples, FS), sample_format="float64")
+        out = tmp_path / "o.wav"
+        argv = ["zoom", str(huge), str(out), "--beamformer", "gjbf", "--gjbf-length", "auto"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 2
+        assert not caught
+        err = capsys.readouterr().err
+        assert err.startswith("audiozoom: all candidate lengths failed: ")
+        assert "input level overflows the residual variance" in err
         assert not out.exists()
 
     def test_post_filter_overflow_is_data_error(self, tmp_path, capsys):

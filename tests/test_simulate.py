@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from helpers import source_image_reference, white_noise_buffer
 
+from audiozoom import simulate
 from audiozoom.dsp import AudioBuffer
 from audiozoom.simulate import (
     ArrayGeometry,
@@ -280,3 +282,73 @@ class TestSpeechLike:
         high = spec[(freqs > 1000) & (freqs < 6000)].sum()
         assert low > 0 and high > 0
         assert high / low > 1e-3  # not a pure low-frequency tone
+
+
+class TestSourceImageMatchesReference:
+    ECHOES = {"none": (), "t60_150ms": echo_taps_for_t60(0.15), "t60_400ms": echo_taps_for_t60(0.4)}
+
+    @staticmethod
+    def _whole_sample_mics(geometry, azimuth, echo_taps):
+        paths = ((0.0, 1.0),) + tuple(echo_taps)
+        whole = []
+        for tau in geometry.delays(azimuth):
+            totals = [(float(tau) + delay) * FS for delay, _ in paths]
+            whole.append(all(abs(t - round(t)) < 1e-9 for t in totals))
+        return whole
+
+    @pytest.mark.parametrize("spacing", [0.10, 0.02])
+    @pytest.mark.parametrize("echo", ["none", "t60_150ms", "t60_400ms"])
+    @pytest.mark.parametrize("azimuth", [0.0, 37.0, 60.0, 90.0, 143.0, 180.0])
+    def test_matches_per_path_oracle(self, azimuth, echo, spacing):
+        source = SourceSpec(azimuth, white_noise_buffer(3000, seed=int(azimuth)))
+        geometry = two_mic_array(spacing)
+        taps = self.ECHOES[echo]
+        want = source_image_reference(source, geometry, taps, 3000)
+        got = simulate._source_image(source, geometry, taps, 3000)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        whole = self._whole_sample_mics(geometry, azimuth, taps)
+        assert whole[0]  # the reference mic has zero delay
+        for mic, exact in enumerate(whole):
+            if exact:
+                assert np.array_equal(got[mic], want[mic])
+
+    def test_mixed_whole_and_fractional_paths(self):
+        # Broadside: whole-sample direct path, one fractional and one whole echo.
+        source = SourceSpec(90.0, white_noise_buffer(3000, seed=5))
+        taps = ((0.0131, 0.5), (0.02, -0.3))
+        want = source_image_reference(source, two_mic_array(), taps, 3000)
+        got = simulate._source_image(source, two_mic_array(), taps, 3000)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize(
+        "azimuth, taps, length",
+        [
+            (0.0, (), 4),
+            (37.0, (), 3),
+            (60.0, echo_taps_for_t60(0.15), 1000),
+            (90.0, ((0.0625, 1.0),), 1000),
+        ],
+    )
+    def test_source_shorter_than_a_path_raises_like_oracle(self, azimuth, taps, length):
+        source = SourceSpec(azimuth, white_noise_buffer(length, seed=1))
+        with pytest.raises(ValueError, match="delay exceeds signal length"):
+            source_image_reference(source, two_mic_array(), taps, length)
+        with pytest.raises(ValueError, match="delay exceeds signal length"):
+            simulate._source_image(source, two_mic_array(), taps, length)
+
+    @pytest.mark.parametrize("azimuth, taps, length", [(0.0, (), 5), (90.0, ((0.0625, 1.0),), 1001)])
+    def test_source_just_longer_than_its_paths(self, azimuth, taps, length):
+        source = SourceSpec(azimuth, white_noise_buffer(length, seed=1))
+        want = source_image_reference(source, two_mic_array(), taps, length)
+        got = simulate._source_image(source, two_mic_array(), taps, length)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_one_convolution_per_fractional_mic(self, monkeypatch):
+        calls = []
+        real = simulate.fft_convolve
+        monkeypatch.setattr(simulate, "fft_convolve", lambda x, h: calls.append(h) or real(x, h))
+        noise, taps = white_noise_buffer(3000, 2), echo_taps_for_t60(0.15)
+        simulate._source_image(SourceSpec(90.0, noise), two_mic_array(), taps, 3000)
+        assert calls == []  # every path of a broadside source is whole-sample
+        simulate._source_image(SourceSpec(60.0, noise), two_mic_array(), taps, 3000)
+        assert len(calls) == 1  # only mic 2 has fractional paths
