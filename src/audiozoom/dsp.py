@@ -193,8 +193,7 @@ def istft(spec: Spectrogram, length: int | None = None) -> AudioBuffer:
     frames *= window
     out = _overlap_add(frames, hop)
     env = _synthesis_envelope(window, hop, n_frames)
-    live = env > 1e-12 * env.max()
-    out[live] /= env[live]
+    np.divide(out, env, out=out, where=env > 1e-12 * env.max())
     if length is not None:
         if length <= out.size:
             out = out[:length]

@@ -8,11 +8,13 @@ from the blocking-path reference. Output z = fixed - adapted estimate.
 
 from __future__ import annotations
 
+import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .blockthresh import SNR_CAP, residual_variance, variance_floor
 from .dsp import AudioBuffer, Spectrogram, StftParams, stft
@@ -122,30 +124,38 @@ def fdaf_gjbf(ch1: AudioBuffer, ch2: AudioBuffer, config: GjbfConfig = GjbfConfi
     ref_pad = np.pad(reference, (L, padded - n_samples))
     desired = np.pad(fixed, (delay, padded - delay - n_samples))
 
-    taps = np.zeros(L)
-    power = np.zeros(nfft // 2 + 1)
-    err_frame = np.zeros(nfft)
-    estimate = np.zeros(padded)
-    gamma = POWER_SMOOTHING
     # Scale-invariant floor: keeps near-silent blocks (or bins) from blowing
     # up the normalized step while vanishing identically for a zero reference.
     power_floor = 1e-4 * nfft * float(np.mean(reference**2))
+    # The reference spectra and their smoothed power do not depend on the
+    # taps, so they are computed for every block before the adaptive loop.
+    spectra = np.fft.rfft(sliding_window_view(ref_pad, nfft)[::B])
+    if config.normalized:
+        denom = np.abs(spectra) ** 2
+        denom[1:] *= 1.0 - POWER_SMOOTHING
+        for k in range(1, n_blocks):
+            denom[k] += POWER_SMOOTHING * denom[k - 1]
+        denom += power_floor
+        denom += 1e-300
 
-    for k in range(n_blocks):
-        spectrum = np.fft.rfft(ref_pad[k * B : k * B + nfft])
+    taps = np.zeros(L)
+    err_frame = np.zeros(nfft)
+    estimate = np.zeros(padded)
+    for k, spectrum in enumerate(spectra):
+        block = slice(k * B, (k + 1) * B)
         # Overlap-save: only the last B output samples of the circular product are valid.
         block_out = np.fft.irfft(spectrum * np.fft.rfft(taps, nfft), nfft)[L:]
-        estimate[k * B : (k + 1) * B] = block_out
-        err_frame[L:] = desired[k * B : (k + 1) * B] - block_out
+        estimate[block] = block_out
+        np.subtract(desired[block], block_out, out=err_frame[L:])
 
         grad = np.conj(spectrum) * np.fft.rfft(err_frame)
         if config.normalized:
-            block_power = np.abs(spectrum) ** 2
-            power = block_power if k == 0 else gamma * power + (1.0 - gamma) * block_power
-            grad = grad / (power + power_floor + 1e-300)
+            grad /= denom[k]
+        if config.leak:
+            taps *= 1.0 - config.leak
         # Keeping the first L lags drops the circular-correlation wraparound.
-        taps = (1.0 - config.leak) * taps + config.step_size * np.fft.irfft(grad, nfft)[:L]
-        if not np.all(np.isfinite(taps)) or np.abs(taps).max() > DIVERGENCE_LIMIT:
+        taps += config.step_size * np.fft.irfft(grad, nfft)[:L]
+        if not np.abs(taps).max() <= DIVERGENCE_LIMIT:  # also true for NaN taps
             raise RuntimeError("step size too large")
 
     z = desired - estimate
@@ -222,7 +232,7 @@ def select_filter_length(
 
     curve = []
     failures = []
-    with ThreadPoolExecutor(max_workers=min(4, len(candidates))) as pool:
+    with ThreadPoolExecutor(max_workers=min(4, os.cpu_count() or 1, len(candidates))) as pool:
         futures = [pool.submit(run, length) for length in candidates]
         for length, future in zip(candidates, futures):
             try:

@@ -13,6 +13,7 @@ from audiozoom.blockthresh import (
     variance_floor,
 )
 from audiozoom.dsp import AudioBuffer, check_cola, make_window
+from audiozoom.gjbf import DIVERGENCE_LIMIT, POWER_SMOOTHING
 from audiozoom.simulate import MixtureSpec, SourceSpec, speech_like, synthesize_mixture, two_mic_array
 
 FS = 16000
@@ -48,6 +49,48 @@ def block_lms_reference(
         history = ctx[block_size:]
         trajectory.append(w.copy())
     return np.asarray(trajectory)
+
+
+def fdaf_gjbf_reference(x1, x2, config):
+    """Per-block loop form of gjbf.fdaf_gjbf; returns (z, y_b, taps) arrays.
+
+    Every block transforms its own reference frame and updates the
+    normalizing power inside the adaptive loop. Serves as the oracle for the
+    implementation that computes the tap-independent work before the loop.
+    """
+    x1 = np.asarray(x1, dtype=np.float64)
+    x2 = np.asarray(x2, dtype=np.float64)
+    n_samples = x1.size
+    L, B, delay = config.filter_length, config.block, config.delay
+    nfft = L + B
+    fixed = 0.5 * (x1 + x2)
+    reference = x1 - x2
+    n_blocks = -(-(n_samples + delay) // B)
+    padded = n_blocks * B
+    ref_pad = np.pad(reference, (L, padded - n_samples))
+    desired = np.pad(fixed, (delay, padded - delay - n_samples))
+
+    taps = np.zeros(L)
+    power = np.zeros(nfft // 2 + 1)
+    err_frame = np.zeros(nfft)
+    estimate = np.zeros(padded)
+    gamma = POWER_SMOOTHING
+    power_floor = 1e-4 * nfft * float(np.mean(reference**2))
+    for k in range(n_blocks):
+        spectrum = np.fft.rfft(ref_pad[k * B : k * B + nfft])
+        block_out = np.fft.irfft(spectrum * np.fft.rfft(taps, nfft), nfft)[L:]
+        estimate[k * B : (k + 1) * B] = block_out
+        err_frame[L:] = desired[k * B : (k + 1) * B] - block_out
+        grad = np.conj(spectrum) * np.fft.rfft(err_frame)
+        if config.normalized:
+            block_power = np.abs(spectrum) ** 2
+            power = block_power if k == 0 else gamma * power + (1.0 - gamma) * block_power
+            grad = grad / (power + power_floor + 1e-300)
+        taps = (1.0 - config.leak) * taps + config.step_size * np.fft.irfft(grad, nfft)[:L]
+        if not np.all(np.isfinite(taps)) or np.abs(taps).max() > DIVERGENCE_LIMIT:
+            raise RuntimeError("step size too large")
+    z = desired - estimate
+    return z[delay : delay + n_samples], estimate[delay : delay + n_samples], taps
 
 
 def default_scene(

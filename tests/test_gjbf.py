@@ -1,11 +1,19 @@
 """Tests for the adaptive beamformer: paths, FDAF, SINR map, length sweep."""
 
+import os
 import warnings
 
 import numpy as np
 import pytest
-from helpers import FS, block_lms_reference, default_scene, white_noise_buffer
+from helpers import (
+    FS,
+    block_lms_reference,
+    default_scene,
+    fdaf_gjbf_reference,
+    white_noise_buffer,
+)
 
+from audiozoom import gjbf
 from audiozoom.blockthresh import residual_variance
 from audiozoom.dsp import AudioBuffer, StftParams, fft_convolve, stft
 from audiozoom.gjbf import (
@@ -18,7 +26,13 @@ from audiozoom.gjbf import (
     sinr_map,
 )
 from audiozoom.metrics import osinr_db
-from audiozoom.simulate import MixtureSpec, SourceSpec, synthesize_mixture, two_mic_array
+from audiozoom.simulate import (
+    MixtureSpec,
+    SourceSpec,
+    echo_taps_for_t60,
+    synthesize_mixture,
+    two_mic_array,
+)
 
 
 class TestPaths:
@@ -220,6 +234,70 @@ class TestFdaf:
             GjbfConfig(leak=1.5)
 
 
+ORACLE_CONFIGS = {
+    "default": GjbfConfig(),
+    "L100": GjbfConfig(filter_length=100),
+    "L64-B32": GjbfConfig(filter_length=64, block_size=32),
+    "L50-B80": GjbfConfig(filter_length=50, block_size=80),
+    "leak": GjbfConfig(leak=0.01),
+    "fixed-step": GjbfConfig(normalized=False, step_size=0.002),
+}
+
+
+def _oracle_scene(seed, duration_s=3.0):
+    echo = echo_taps_for_t60(0.3) if seed % 2 else ()
+    mixture = default_scene(seed, duration_s=duration_s, echo_taps=echo).mixture
+    return mixture.channel(0), mixture.channel(1)
+
+
+class TestFdafMatchesReference:
+    @pytest.mark.parametrize("name", ORACLE_CONFIGS)
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_outputs_and_taps_bit_identical(self, seed, name):
+        config = ORACLE_CONFIGS[name]
+        ch1, ch2 = _oracle_scene(seed)
+        z, y_b, state = fdaf_gjbf(ch1, ch2, config)
+        z_want, y_b_want, taps_want = fdaf_gjbf_reference(ch1.samples[0], ch2.samples[0], config)
+        assert np.array_equal(z.samples[0], z_want)
+        assert np.array_equal(y_b.samples[0], y_b_want)
+        assert np.array_equal(state.taps, taps_want)
+
+    def test_sweep_matches_reference(self):
+        ch1, ch2 = _oracle_scene(seed=3, duration_s=2.0)
+        lengths = (32, 64, 100, 150, 250, 400)
+        best, curve = select_filter_length(ch1, ch2, lengths)
+        y1, y2 = stft(ch1), stft(ch2)
+        want = []
+        for length in lengths:
+            z, _, _ = fdaf_gjbf_reference(
+                ch1.samples[0], ch2.samples[0], GjbfConfig(filter_length=length)
+            )
+            z_spec = stft(AudioBuffer(z, FS))
+            want.append((length, mean_sinr_db(z_spec, residual_variance(y1, y2, z_spec))))
+        assert curve == want
+        assert best == min(want, key=lambda item: (-item[1], item[0]))[0]
+
+    @pytest.mark.parametrize("n_samples", [1000, 2500])
+    def test_reference_transformed_once_per_run(self, monkeypatch, n_samples):
+        # Per block only the tap spectrum, the output, the error spectrum and
+        # the gradient are transformed; the reference blocks take one batched rfft.
+        calls = {"rfft": [], "irfft": []}
+        for name in calls:
+            real = getattr(np.fft, name)
+
+            def counting(a, *args, _real=real, _log=calls[name], **kwargs):
+                _log.append(np.ndim(a))
+                return _real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counting)
+        x1, x2 = (white_noise_buffer(n_samples, seed) for seed in (21, 22))
+        config = GjbfConfig(filter_length=64)
+        fdaf_gjbf(x1, x2, config)
+        n_blocks = -(-(n_samples + config.delay) // config.block)
+        assert sorted(calls["rfft"]) == [1] * (2 * n_blocks) + [2]
+        assert calls["irfft"] == [1] * (2 * n_blocks)
+
+
 class TestSinrMap:
     def test_equal_power_gives_zero(self):
         z = np.full((5, 4), 2.0 + 0j)
@@ -335,3 +413,29 @@ class TestSelectFilterLength:
         ratio = np.clip((power[valid] - sigma2[valid]) / sigma2[valid], 0.0, 1e6)
         want = np.mean(10 * np.log10(1.0 + ratio))
         assert got == pytest.approx(want, rel=1e-12)
+
+    def test_pool_size_does_not_change_result(self, monkeypatch):
+        # 9000 and 8500 are longer than half of the 1 s scene, so they fail.
+        scene = self._scene()
+        ch1, ch2 = scene.mixture.channel(0), scene.mixture.channel(1)
+        real_pool = gjbf.ThreadPoolExecutor
+        results = {}
+        for cpus in (1, 2, 8):
+            workers = []
+            monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+            monkeypatch.setattr(
+                gjbf,
+                "ThreadPoolExecutor",
+                lambda max_workers: workers.append(max_workers) or real_pool(max_workers),
+            )
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                results[cpus] = select_filter_length(ch1, ch2, (9000, 50, 8500, 100))
+            assert workers == [min(4, cpus)]
+            assert [str(w.message) for w in caught] == [
+                f"filter length {length} skipped: "
+                "signals must be longer than twice the filter length"
+                for length in (9000, 8500)
+            ]
+        assert results[1] == results[2] == results[8]
+        assert [length for length, _ in results[1][1]] == [50, 100]
