@@ -16,6 +16,7 @@ from .dsp import AudioBuffer, Spectrogram, StftParams, fft_convolve, istft, stft
 from .gjbf import (
     AdaptiveFilterState,
     GjbfConfig,
+    apply_gjbf,
     blocking_path,
     fdaf_gjbf,
     fixed_path,

@@ -68,6 +68,12 @@ def _parse_lengths(text: str) -> tuple:
     return lengths
 
 
+def _nonnegative_int(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _one_of(choices):
     def parse_choice(text: str) -> str:
         if text not in choices:
@@ -255,8 +261,9 @@ def cmd_zoom(args) -> int:
         if parent:
             os.makedirs(parent, exist_ok=True)
         _write_matrix_csv(args.dump + "beamformed_mag.csv", np.abs(result.beamformed_spec.coefficients))
-        if result.postfilter_spec is not None:
-            _write_matrix_csv(args.dump + "output_mag.csv", np.abs(result.postfilter_spec.coefficients))
+        if result.block_grid is not None:
+            output_mag = np.abs(result.beamformed_spec.coefficients * result.block_grid.gains)
+            _write_matrix_csv(args.dump + "output_mag.csv", output_mag)
             _write_matrix_csv(args.dump + "bt_gains.csv", result.block_grid.gains)
             blocks_path = args.dump + "bt_blocks.csv"
             with open(blocks_path, "w", encoding="utf-8") as handle:
@@ -344,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     evalp.add_argument("target_image", help="2-channel target image WAV")
     evalp.add_argument("interference_image", help="2-channel interference(+noise) image WAV")
     evalp.add_argument("--report", help="append a CSV row to this file")
-    evalp.add_argument("--max-shift", type=int, default=512, dest="max_shift")
+    evalp.add_argument("--max-shift", type=_nonnegative_int, default=512, dest="max_shift")
     evalp.set_defaults(func=cmd_eval)
 
     sweep = sub.add_parser("sweep", help="sweep adaptive filter lengths")

@@ -64,9 +64,13 @@ class GjbfConfig:
 
 @dataclass
 class AdaptiveFilterState:
-    """Adaptive filter snapshot: the final time-domain taps."""
+    """Taps of a run, (n_blocks + 1, L): row k is what block k filtered with, then the final taps."""
 
-    taps: np.ndarray
+    trajectory: np.ndarray
+
+    @property
+    def taps(self) -> np.ndarray:
+        return self.trajectory[-1]
 
 
 def _paired_mono(ch1: AudioBuffer, ch2: AudioBuffer) -> tuple:
@@ -95,6 +99,19 @@ def _input_overflow(kind: str, flag: int) -> None:
     raise ValueError("input level overflows the adaptive filter; scale the input down")
 
 
+def _overlap_save_frames(ch1: AudioBuffer, ch2: AudioBuffer, config: GjbfConfig) -> tuple:
+    """(desired, spectra, reference): the fixed path delayed and padded to whole
+    blocks, the rfft of each block's reference frame, the unpadded reference."""
+    x1, x2 = _paired_mono(ch1, ch2)
+    L, B, delay = config.filter_length, config.block, config.delay
+    padded = -(-(x1.size + delay) // B) * B
+    reference = x1 - x2
+    # L leading zeros: block k's overlap-save frame is ref_pad[k*B : k*B + L + B].
+    ref_pad = np.pad(reference, (L, padded - x1.size))
+    desired = np.pad(0.5 * (x1 + x2), (delay, padded - delay - x1.size))
+    return desired, np.fft.rfft(sliding_window_view(ref_pad, L + B)[::B]), reference
+
+
 # Only an out-of-range input level can overflow the filter; in-range runs are unaffected.
 @np.errstate(over="call", call=_input_overflow)
 def fdaf_gjbf(ch1: AudioBuffer, ch2: AudioBuffer, config: GjbfConfig = GjbfConfig()) -> tuple:
@@ -102,45 +119,33 @@ def fdaf_gjbf(ch1: AudioBuffer, ch2: AudioBuffer, config: GjbfConfig = GjbfConfi
 
     Returns (z, y_b, state): the enhanced output and the adapted
     interference estimate, both re-aligned to the input timebase, plus the
-    final filter state. Raises ValueError when the input level overflows the
-    filter's arithmetic and RuntimeError when the taps diverge.
+    taps every block ran with. Raises ValueError when the input level
+    overflows the filter's arithmetic and RuntimeError when the taps diverge.
     """
-    x1, x2 = _paired_mono(ch1, ch2)
-    n_samples = x1.size
+    desired, spectra, reference = _overlap_save_frames(ch1, ch2, config)
     L = config.filter_length
-    if n_samples <= 2 * L:
+    if reference.size <= 2 * L:
         raise ValueError("signals must be longer than twice the filter length")
     B = config.block
-    delay = config.delay
     nfft = L + B
-
-    fixed = 0.5 * (x1 + x2)
-    reference = x1 - x2
-
-    total = n_samples + delay
-    n_blocks = -(-total // B)
-    padded = n_blocks * B
-    # L leading zeros: block k's overlap-save frame is ref_pad[k*B : k*B + L + B].
-    ref_pad = np.pad(reference, (L, padded - n_samples))
-    desired = np.pad(fixed, (delay, padded - delay - n_samples))
 
     # Scale-invariant floor: keeps near-silent blocks (or bins) from blowing
     # up the normalized step while vanishing identically for a zero reference.
     power_floor = 1e-4 * nfft * float(np.mean(reference**2))
     # The reference spectra and their smoothed power do not depend on the
     # taps, so they are computed for every block before the adaptive loop.
-    spectra = np.fft.rfft(sliding_window_view(ref_pad, nfft)[::B])
     if config.normalized:
         denom = np.abs(spectra) ** 2
         denom[1:] *= 1.0 - POWER_SMOOTHING
-        for k in range(1, n_blocks):
+        for k in range(1, len(denom)):
             denom[k] += POWER_SMOOTHING * denom[k - 1]
         denom += power_floor
         denom += 1e-300
 
     taps = np.zeros(L)
+    trajectory = np.zeros((len(spectra) + 1, L))
     err_frame = np.zeros(nfft)
-    estimate = np.zeros(padded)
+    estimate = np.zeros(desired.size)
     for k, spectrum in enumerate(spectra):
         block = slice(k * B, (k + 1) * B)
         # Overlap-save: only the last B output samples of the circular product are valid.
@@ -157,14 +162,29 @@ def fdaf_gjbf(ch1: AudioBuffer, ch2: AudioBuffer, config: GjbfConfig = GjbfConfi
         taps += config.step_size * np.fft.irfft(grad, nfft)[:L]
         if not np.abs(taps).max() <= DIVERGENCE_LIMIT:  # also true for NaN taps
             raise RuntimeError("step size too large")
+        trajectory[k + 1] = taps
 
     z = desired - estimate
-    rate = ch1.sample_rate
-    return (
-        AudioBuffer(z[delay : delay + n_samples], rate),
-        AudioBuffer(estimate[delay : delay + n_samples], rate),
-        AdaptiveFilterState(taps),
-    )
+    crop, rate = slice(config.delay, config.delay + ch1.length), ch1.sample_rate
+    return AudioBuffer(z[crop], rate), AudioBuffer(estimate[crop], rate), AdaptiveFilterState(trajectory)
+
+
+def apply_gjbf(
+    ch1: AudioBuffer, ch2: AudioBuffer, state: AdaptiveFilterState, config: GjbfConfig = GjbfConfig()
+) -> AudioBuffer:
+    """Replay a run of fdaf_gjbf, with the config it ran with, on another
+    channel pair of the same length: block k is filtered with the taps block
+    k ran with, all blocks in one overlap-save pass. The map is exactly
+    linear, and on the run's own input it gives the run's z.
+    """
+    desired, spectra, _ = _overlap_save_frames(ch1, ch2, config)
+    L = config.filter_length
+    if state.trajectory.shape != (len(spectra) + 1, L):
+        raise ValueError("filter state does not match the input length and config")
+    nfft = L + config.block
+    estimate = np.fft.irfft(spectra * np.fft.rfft(state.trajectory[:-1], nfft), nfft)[:, L:]
+    z = desired - estimate.ravel()
+    return AudioBuffer(z[config.delay : config.delay + ch1.length], ch1.sample_rate)
 
 
 def _checked_power(z: Spectrogram | np.ndarray, sigma2: np.ndarray) -> tuple:

@@ -50,6 +50,8 @@ def align_delay_and_scale(estimate: np.ndarray, reference: np.ndarray, max_shift
     gain * estimate[n + shift], zero-padded outside the overlap; the gain is
     fit over the overlap region only.
     """
+    if max_shift < 0:
+        raise ValueError("max_shift must be nonnegative")
     estimate = np.asarray(estimate, dtype=np.float64)
     reference = np.asarray(reference, dtype=np.float64)
     n = min(estimate.size, reference.size)

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dsp import Spectrogram
-from .simulate import ArrayGeometry, steering_vector
 
 LOADING_FACTOR = 1e-2
 
@@ -92,13 +91,6 @@ def mpdr_weights(cov: np.ndarray, steering: np.ndarray, alpha) -> np.ndarray:
 def scaled_loading(cov: np.ndarray) -> np.ndarray:
     """Loading proportional to the mean channel power: LOADING_FACTOR * trace(R)/2 per matrix."""
     return LOADING_FACTOR * np.real(np.trace(cov, axis1=-2, axis2=-1)) / 2.0
-
-
-def steering_for_bins(
-    geometry: ArrayGeometry, azimuth_deg: float, bin_frequencies: np.ndarray
-) -> np.ndarray:
-    """Steering vectors for every bin frequency, shaped (bins, 2)."""
-    return steering_vector(geometry, azimuth_deg, bin_frequencies)
 
 
 def design_mpdr(

@@ -11,8 +11,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .blockthresh import BlockGrid, BlockThresholdParams, block_threshold_gains, residual_variance
-from .dsp import AudioBuffer, Spectrogram, StftParams, fft_convolve, istft, stft
-from .gjbf import GjbfConfig, fdaf_gjbf, select_filter_length
+from .dsp import AudioBuffer, Spectrogram, StftParams, istft, stft
+from .gjbf import AdaptiveFilterState, GjbfConfig, apply_gjbf, fdaf_gjbf, select_filter_length
 from .metrics import (
     build_report,
     decompose_linear,
@@ -50,11 +50,10 @@ class ZoomResult:
     output: AudioBuffer
     beamformed: AudioBuffer
     beamformed_spec: Spectrogram
-    postfilter_spec: Spectrogram | None
     sigma2: np.ndarray
     block_grid: BlockGrid | None
     mpdr_weights: MpdrWeights | None
-    gjbf_taps: np.ndarray | None
+    gjbf_state: AdaptiveFilterState | None
     gjbf_config_used: GjbfConfig | None
     sweep_curve: list | None
     config: PipelineConfig
@@ -73,7 +72,7 @@ def run_zoom(mixture: AudioBuffer, config: PipelineConfig = PipelineConfig()) ->
     y2 = stft(ch2, config.stft)
 
     weights = None
-    taps = None
+    state = None
     gjbf_used = None
     curve = None
     if config.beamformer == "mpdr":
@@ -90,28 +89,25 @@ def run_zoom(mixture: AudioBuffer, config: PipelineConfig = PipelineConfig()) ->
                 gjbf_used, filter_length=best, block_size=None, alignment_delay=None
             )
         beamformed, _, state = fdaf_gjbf(ch1, ch2, gjbf_used)
-        taps = state.taps
         z_spec = stft(beamformed, config.stft)
 
     sigma2 = residual_variance(y1, y2, z_spec)
 
     block_grid = None
-    postfilter_spec = None
     output = beamformed
     if config.bt_enabled:
         block_grid = block_threshold_gains(z_spec, sigma2, config.bt)
-        postfilter_spec = z_spec.with_coefficients(z_spec.coefficients * block_grid.gains)
-        output = istft(postfilter_spec, length=mixture.length)
+        postfiltered = z_spec.with_coefficients(z_spec.coefficients * block_grid.gains)
+        output = istft(postfiltered, length=mixture.length)
 
     return ZoomResult(
         output=output,
         beamformed=beamformed,
         beamformed_spec=z_spec,
-        postfilter_spec=postfilter_spec,
         sigma2=sigma2,
         block_grid=block_grid,
         mpdr_weights=weights,
-        gjbf_taps=taps,
+        gjbf_state=state,
         gjbf_config_used=gjbf_used,
         sweep_curve=curve,
         config=config,
@@ -119,40 +115,23 @@ def run_zoom(mixture: AudioBuffer, config: PipelineConfig = PipelineConfig()) ->
 
 
 def frozen_stage(result: ZoomResult):
-    """Linear map equivalent to the run's beamformer with its parameters frozen.
+    """The run's beamformer as a fixed linear map, for scoring images.
 
-    Maps a 2-channel AudioBuffer to the mono beamformed AudioBuffer; exactly
-    linear, so it can decompose ground-truth images.
+    Maps a 2-channel AudioBuffer of the mixture's length to the mono
+    beamformed AudioBuffer: MPDR with the run's weights, GJBF replaying the
+    taps each block ran with (apply_gjbf). On the mixture it reproduces
+    result.beamformed.
     """
     config = result.config
-    if config.beamformer == "mpdr":
-        weights = result.mpdr_weights
-
-        def stage(buffer: AudioBuffer) -> AudioBuffer:
-            a, b = _split_channels(buffer)
-            spec = apply_mpdr(stft(a, config.stft), stft(b, config.stft), weights)
-            return istft(spec, length=buffer.length)
-
-        return stage
-
-    taps = result.gjbf_taps
-    delay = result.gjbf_config_used.delay
 
     def stage(buffer: AudioBuffer) -> AudioBuffer:
         a, b = _split_channels(buffer)
-        fixed = 0.5 * (a.samples[0] + b.samples[0])
-        reference = a.samples[0] - b.samples[0]
-        conv = fft_convolve(reference, taps)
-        estimate = conv[delay : delay + buffer.length]
-        if estimate.size < buffer.length:
-            estimate = np.concatenate([estimate, np.zeros(buffer.length - estimate.size)])
-        return AudioBuffer(fixed - estimate, buffer.sample_rate)
+        if config.beamformer == "gjbf":
+            return apply_gjbf(a, b, result.gjbf_state, result.gjbf_config_used)
+        spec = apply_mpdr(stft(a, config.stft), stft(b, config.stft), result.mpdr_weights)
+        return istft(spec, length=buffer.length)
 
     return stage
-
-
-def _mono_reference(image: AudioBuffer) -> AudioBuffer:
-    return AudioBuffer(image.samples.mean(axis=0), image.sample_rate)
 
 
 def evaluate_scene(
@@ -164,18 +143,17 @@ def evaluate_scene(
 ) -> tuple:
     """Score the pipeline on a simulated scene with known images.
 
-    Returns (EvalReport, ZoomResult). The beamformer is decomposed by
-    re-filtering the images with frozen parameters; the post-filter by
-    applying the mixture-derived gains to each component spectrogram.
+    Returns (EvalReport, ZoomResult). The beamformer is decomposed by running
+    frozen_stage on each image, whose two outputs must sum to the run's own
+    result.beamformed; the post-filter by applying the mixture-derived gains
+    to each component spectrogram.
     """
     result = run_zoom(mixture, config)
-    stage = frozen_stage(result)
-    mixture_out = stage(mixture)
     target_out, residual_out = decompose_linear(
-        stage, target_image, residual_image, mixture_output=mixture_out
+        frozen_stage(result), target_image, residual_image, mixture_output=result.beamformed
     )
 
-    reference = _mono_reference(target_image)
+    reference = AudioBuffer(target_image.samples.mean(axis=0), target_image.sample_rate)
     input_sinr = osinr_db(target_image, residual_image)
     osinr_beamformer = osinr_db(target_out, residual_out)
     mse_beamformer = mse_db(result.beamformed, reference, max_shift)

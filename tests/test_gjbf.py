@@ -15,9 +15,10 @@ from helpers import (
 
 from audiozoom import gjbf
 from audiozoom.blockthresh import residual_variance
-from audiozoom.dsp import AudioBuffer, StftParams, fft_convolve, stft
+from audiozoom.dsp import AudioBuffer, StftParams, stft
 from audiozoom.gjbf import (
     GjbfConfig,
+    apply_gjbf,
     blocking_path,
     fdaf_gjbf,
     fixed_path,
@@ -171,13 +172,9 @@ class TestFdaf:
         config = GjbfConfig(filter_length=250)
         z, _, state = fdaf_gjbf(ch1, ch2, config)
 
-        # Frozen-tap decomposition against ground-truth images.
+        # Decomposition against ground-truth images by replaying the run.
         def frozen(image):
-            fixed = 0.5 * (image.samples[0] + image.samples[1])
-            ref = image.samples[0] - image.samples[1]
-            est = fft_convolve(ref, state.taps)[config.delay : config.delay + fixed.size]
-            est = np.pad(est, (0, fixed.size - est.size))
-            return fixed - est
+            return apply_gjbf(image.channel(0), image.channel(1), state, config).samples[0]
 
         t_out = frozen(scene.target_image)
         r_out = frozen(scene.interference_plus_noise)
@@ -296,6 +293,52 @@ class TestFdafMatchesReference:
         n_blocks = -(-(n_samples + config.delay) // config.block)
         assert sorted(calls["rfft"]) == [1] * (2 * n_blocks) + [2]
         assert calls["irfft"] == [1] * (2 * n_blocks)
+
+
+class TestRecordedRun:
+    """The state holds the taps every block ran with, and apply_gjbf replays them."""
+
+    def test_trajectory_starts_at_zero_and_ends_at_taps(self):
+        x1, x2 = (white_noise_buffer(3000, seed) for seed in (23, 24))
+        config = GjbfConfig(filter_length=64, block_size=48)
+        _, _, state = fdaf_gjbf(x1, x2, config)
+        n_blocks = -(-(3000 + config.delay) // config.block)
+        assert state.trajectory.shape == (n_blocks + 1, 64)
+        assert np.all(state.trajectory[0] == 0)
+        assert np.array_equal(state.taps, state.trajectory[-1])
+
+    def test_trajectory_matches_block_lms_per_block(self):
+        # Criterion 3's unnormalised set-up, checked block by block.
+        rng = np.random.default_rng(103)
+        L, blocks = 8, 10
+        config = GjbfConfig(filter_length=L, step_size=0.02, normalized=False)
+        n = 2 * L + 1 + L * blocks
+        x1 = rng.standard_normal(n)
+        x2 = rng.standard_normal(n)
+        _, _, state = fdaf_gjbf(AudioBuffer(x1, FS), AudioBuffer(x2, FS), config)
+
+        pad = -(-(n + config.delay) // L) * L
+        u = np.zeros(pad)
+        u[:n] = x1 - x2
+        d = np.zeros(pad)
+        d[config.delay : config.delay + n] = 0.5 * (x1 + x2)
+        want = block_lms_reference(u, d, L, L, 0.02, pad // L)
+        assert state.trajectory[1:].shape == want.shape
+        for got_row, want_row in zip(state.trajectory[1:], want):
+            assert np.abs(got_row - want_row).max() <= 1e-6 * np.abs(want_row).max()
+
+    def test_mismatched_state_rejected(self):
+        x1, x2 = (white_noise_buffer(3000, seed) for seed in (25, 26))
+        config = GjbfConfig(filter_length=64)
+        _, _, state = fdaf_gjbf(x1, x2, config)
+        short = [AudioBuffer(x.samples[0, :2000], FS) for x in (x1, x2)]
+        for args in (
+            (*short, state, config),
+            (x1, x2, state, GjbfConfig(filter_length=32)),
+            (x1, x2, state, GjbfConfig(filter_length=64, block_size=16)),
+        ):
+            with pytest.raises(ValueError, match="does not match"):
+                apply_gjbf(*args)
 
 
 class TestSinrMap:

@@ -94,6 +94,15 @@ class TestMseDb:
         assert gain == pytest.approx(0.5, rel=1e-6)
         assert np.abs(aligned[:-5] - ref[:-5]).max() <= 1e-9
 
+    def test_negative_max_shift_rejected(self):
+        rng = np.random.default_rng(31)
+        est, ref = (AudioBuffer(rng.standard_normal(1000), FS) for _ in range(2))
+        for score in (mse_db, project_onto_reference):
+            with pytest.raises(ValueError, match="max_shift must be nonnegative"):
+                score(est, ref, max_shift=-1)
+        with pytest.raises(ValueError, match="max_shift must be nonnegative"):
+            align_delay_and_scale(est.samples[0], ref.samples[0], max_shift=-5)
+
 
 class TestDecomposeLinear:
     def test_identity_stage(self):

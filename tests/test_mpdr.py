@@ -15,10 +15,9 @@ from audiozoom.mpdr import (
     estimate_covariance,
     mpdr_weights,
     scaled_loading,
-    steering_for_bins,
 )
 from audiozoom.pipeline import run_zoom
-from audiozoom.simulate import MixtureSpec, SourceSpec, synthesize_mixture, two_mic_array
+from audiozoom.simulate import MixtureSpec, SourceSpec, steering_vector, synthesize_mixture, two_mic_array
 
 FS = 16000
 
@@ -114,8 +113,8 @@ class TestMpdrWeights:
         geom = two_mic_array(0.10)
         params = StftParams(512, 256)
         freqs = np.arange(params.bin_count) * FS / params.frame_length
-        d_target = steering_for_bins(geom, 90.0, freqs)
-        d_interf = steering_for_bins(geom, 60.0, freqs)
+        d_target = steering_vector(geom, 90.0, freqs)
+        d_interf = steering_vector(geom, 60.0, freqs)
         phase_sep = np.abs(np.angle(d_interf[:, 1] * np.conj(d_target[:, 1])))
         for f in np.nonzero(phase_sep >= 0.5)[0][::16]:
             r = 10.0 * np.outer(d_interf[f], d_interf[f].conj())
@@ -248,11 +247,11 @@ class TestSteeringForBins:
         geom = two_mic_array(0.10)
         freqs = np.arange(257) * FS / 512
         per_bin = np.stack([np.exp(-2j * np.pi * f * geom.delays(azimuth)) for f in freqs])
-        assert np.array_equal(steering_for_bins(geom, azimuth, freqs), per_bin)
+        assert np.array_equal(steering_vector(geom, azimuth, freqs), per_bin)
 
     def test_negative_frequency_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            steering_for_bins(two_mic_array(0.10), 90.0, np.array([0.0, 100.0, -1.0]))
+            steering_vector(two_mic_array(0.10), 90.0, np.array([0.0, 100.0, -1.0]))
 
 
 class TestBatchedMatchesReference:

@@ -9,11 +9,12 @@ import pytest
 from helpers import FS, block_threshold_reference, default_scene
 from scipy.io import wavfile
 
+from audiozoom import pipeline
 from audiozoom.cli import _write_matrix_csv, main
 from audiozoom.dsp import AudioBuffer
 from audiozoom.gjbf import GjbfConfig
-from audiozoom.pipeline import PipelineConfig, evaluate_scene, normalize_peak, run_zoom
-from audiozoom.simulate import speech_like
+from audiozoom.pipeline import PipelineConfig, evaluate_scene, frozen_stage, normalize_peak, run_zoom
+from audiozoom.simulate import echo_taps_for_t60, speech_like
 from audiozoom.wav import read_wav, write_wav
 
 
@@ -62,6 +63,56 @@ class TestRunZoom:
         normalized, gain = normalize_peak(buf)
         assert np.max(np.abs(normalized.samples)) == pytest.approx(10 ** (-1 / 20), rel=1e-12)
         assert gain > 1.0
+
+
+FROZEN_GJBF_CONFIGS = {
+    "default": GjbfConfig(),
+    "L64-B32": GjbfConfig(filter_length=64, block_size=32),
+    "L50-B80": GjbfConfig(filter_length=50, block_size=80),
+    "leak": GjbfConfig(leak=0.01),
+    "fixed-step": GjbfConfig(normalized=False, step_size=0.002),
+}
+
+
+class TestFrozenStage:
+    """The scorer's stage is the beamformer that ran: on the mixture it gives result.beamformed."""
+
+    @staticmethod
+    def _mixture(seed):
+        echo = echo_taps_for_t60(0.3) if seed % 2 else ()
+        return default_scene(seed, duration_s=2.0, echo_taps=echo).mixture
+
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_mpdr_reproduces_beamformed_exactly(self, seed):
+        mixture = self._mixture(seed)
+        result = run_zoom(mixture, PipelineConfig(beamformer="mpdr", bt_enabled=False))
+        assert np.array_equal(frozen_stage(result)(mixture).samples, result.beamformed.samples)
+
+    @pytest.mark.parametrize("name", FROZEN_GJBF_CONFIGS)
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_gjbf_reproduces_beamformed(self, seed, name):
+        mixture = self._mixture(seed)
+        config = PipelineConfig(beamformer="gjbf", gjbf=FROZEN_GJBF_CONFIGS[name], bt_enabled=False)
+        result = run_zoom(mixture, config)
+        got = frozen_stage(result)(mixture).samples
+        want = result.beamformed.samples
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("beamformer", ["mpdr", "gjbf"])
+    def test_evaluate_scene_runs_stage_on_the_two_images_only(self, monkeypatch, beamformer):
+        scene = default_scene(seed=24, duration_s=1.0)
+        inputs = []
+
+        def counting_frozen_stage(result):
+            stage = frozen_stage(result)
+            return lambda buffer: inputs.append(buffer) or stage(buffer)
+
+        monkeypatch.setattr(pipeline, "frozen_stage", counting_frozen_stage)
+        residual = scene.interference_plus_noise
+        evaluate_scene(scene.mixture, scene.target_image, residual, PipelineConfig(beamformer=beamformer))
+        assert len(inputs) == 2
+        assert inputs[0] is scene.target_image
+        assert inputs[1] is residual
 
 
 def _write_scene_inputs(tmp_path, seed=30, duration=1.0):
@@ -213,6 +264,16 @@ class TestCliZoom:
         want_gains = (tmp_path / "want_gains.csv").read_bytes()
         assert Path(dump + "bt_gains.csv").read_bytes() == want_gains
 
+    def test_output_mag_dump_is_post_filtered_magnitude(self, tmp_path, capsys):
+        path = tmp_path / "mix.wav"
+        write_wav(path, default_scene(seed=2).mixture, sample_format="float64")
+        dump = str(tmp_path / "d_")
+        assert main(["zoom", str(path), str(tmp_path / "out.wav"), "--dump", dump]) == 0
+        result = run_zoom(read_wav(path))
+        gains = block_threshold_reference(result.beamformed_spec, result.sigma2).gains
+        _write_matrix_csv(tmp_path / "want.csv", np.abs(result.beamformed_spec.coefficients * gains))
+        assert Path(dump + "output_mag.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
     def test_mono_input_exit_code(self, tmp_path):
         x = speech_like(0.5, FS, seed=37)
         path = tmp_path / "mono.wav"
@@ -305,6 +366,18 @@ class TestCliEval:
         assert main(
             ["eval", str(est_path), prefix + "target_img.wav", prefix + "interf_img.wav"]
         ) == 2
+
+
+    def test_negative_max_shift_is_usage_error(self, tmp_path, capsys):
+        prefix = self._scene_files(tmp_path, capsys, seed=43, duration=1.0)
+        mix = read_wav(prefix + "mixture.wav")
+        est_path = tmp_path / "mix_ch1.wav"
+        write_wav(est_path, mix.channel(0))
+        with pytest.raises(SystemExit) as err:
+            main(["eval", str(est_path), prefix + "target_img.wav", prefix + "interf_img.wav",
+                  "--max-shift", "-5"])
+        assert err.value.code == 1
+        assert "--max-shift: expected a nonnegative integer, got '-5'" in capsys.readouterr().err
 
 
 class TestCliSweep:
