@@ -6,9 +6,7 @@ from .blockthresh import (
     Tiling,
     apply_block_threshold,
     attenuation_factor,
-    block_snr,
     block_threshold_gains,
-    choose_partition,
     enumerate_partitions,
     residual_variance,
 )

@@ -130,34 +130,12 @@ def _tile(stack: np.ndarray, tiling: Tiling) -> np.ndarray:
 
 def _stack_snr(power: np.ndarray, sigma2: np.ndarray, tiling: Tiling, floor: float) -> np.ndarray:
     # Sub-block SNRs of every macro-block in a (n_b, MB, n_t, MF) stack, shaped (n_b, kb, n_t, kt).
+    # A sub-block whose mean variance sits below the floor gets the SNR_CAP sentinel (clean signal).
     mean_power = _tile(power, tiling).mean(axis=(2, 5))
     mean_var = _tile(sigma2, tiling).mean(axis=(2, 5))
     with np.errstate(divide="ignore", invalid="ignore"):
         snr = np.clip(mean_power / mean_var - 1.0, 0.0, SNR_CAP)
-    return np.where(mean_var < max(floor, 1e-300), SNR_CAP, snr)
-
-
-def _single_stack(z_region, sigma2_region) -> tuple:
-    # One macro-block as a 1x1 stack of power and variance.
-    z_region = np.asarray(z_region)
-    power = np.abs(z_region) ** 2 if np.iscomplexobj(z_region) else z_region.astype(np.float64)
-    sigma2 = np.asarray(sigma2_region, dtype=np.float64)
-    if power.ndim != 2 or power.shape != sigma2.shape:
-        raise ValueError("region dimensions must match")
-    shape = (1, power.shape[0], 1, power.shape[1])
-    return power.reshape(shape), sigma2.reshape(shape)
-
-
-def block_snr(
-    z_region: np.ndarray, sigma2_region: np.ndarray, tiling: Tiling, variance_floor: float = 0.0
-) -> np.ndarray:
-    """Estimated a-priori SNR per sub-block: mean|Z|^2 / mean(sigma^2) - 1, floored at 0.
-
-    Sub-blocks whose mean variance sits below the floor get the SNR_CAP
-    sentinel (treated as clean signal).
-    """
-    power, sigma2 = _single_stack(z_region, sigma2_region)
-    return _stack_snr(power, sigma2, tiling, variance_floor)[0, :, 0, :]
+    return np.where(mean_var < floor, SNR_CAP, snr)
 
 
 def attenuation_factor(snr):
@@ -201,39 +179,10 @@ def _choose_tilings(power, sigma2, tilings, snr_threshold, floor, gains) -> np.n
     return best
 
 
-def choose_partition(
-    z_region: np.ndarray,
-    sigma2_region: np.ndarray,
-    tilings,
-    snr_threshold: float = 1.0,
-    variance_floor: float = 0.0,
-):
-    """Pick the tiling that isolates the most above-threshold sub-blocks.
-
-    Ties go to the larger mean SNR among above-threshold blocks, then to the
-    smaller v. Returns (tiling, per-sub-block SNR grid, per-sub-block gains).
-    """
-    if not tilings:
-        raise ValueError("no candidate tilings")
-    ordered = sorted(tilings, key=lambda t: t.v)
-    power, sigma2 = _single_stack(z_region, sigma2_region)
-    scratch = np.empty_like(power)
-    index = _choose_tilings(power, sigma2, ordered, snr_threshold, variance_floor, scratch)
-    tiling = ordered[index[0, 0]]
-    snr = _stack_snr(power, sigma2, tiling, variance_floor)[0, :, 0, :]
-    return tiling, snr, attenuation_factor(snr)
-
-
-@dataclass(frozen=True)
-class MacroBlockChoice:
-    """Where a macro-block sits and which subdivision it selected."""
-
-    bin_start: int
-    frame_start: int
-    bins: int
-    frames: int
-    levels: int
-    v: int
+# One record per macro-block: where it sits, its size, its depth and its chosen v.
+CHOICE_DTYPE = np.dtype(
+    [(name, np.int64) for name in ("bin_start", "frame_start", "bins", "frames", "levels", "v")]
+)
 
 
 @dataclass
@@ -242,19 +191,27 @@ class BlockGrid:
 
     params: BlockThresholdParams
     gains: np.ndarray  # (bins, frames) in [0, 1]
-    choices: list
+    choices: np.ndarray  # CHOICE_DTYPE records, macro-blocks row by row
+
+
+def _twos(n: int) -> int:
+    # Exponent of the largest power of two that divides n > 0.
+    return (n & -n).bit_length() - 1
 
 
 def _feasible_levels(frames: int, bins: int, levels: int) -> int:
-    for h in range(levels, -1, -1):
-        if frames * bins < 2**h:
-            continue
-        try:
-            enumerate_partitions(frames, bins, h)
-            return h
-        except ValueError:
-            continue
-    return 0  # 1x1 sub-blocks always tile
+    # A depth-h tiling splits 2**h into a power of two dividing frames times one
+    # dividing bins, so the largest feasible depth is a direct sum of exponents.
+    return min(levels, _twos(frames) + _twos(bins))
+
+
+def _distinct(tilings: list) -> list:
+    # The first tiling of each realised sub-block shape. A later one with the
+    # same extents scores the same and loses every tie, so it can never win.
+    kept = {}
+    for tiling in tilings:
+        kept.setdefault((tiling.sub_frames, tiling.sub_bins), tiling)
+    return list(kept.values())
 
 
 def _bands(size: int, macro: int) -> list:
@@ -292,13 +249,15 @@ def block_threshold_gains(
     mb, mf = params.macro_bins, params.macro_frames
     floor = variance_floor(power)
     gains = np.empty_like(power)
-    grid = (-(-bins // mb), -(-frames // mf))
-    chosen_v = np.zeros(grid, dtype=int)
-    chosen_levels = np.zeros(grid, dtype=int)
+    choices = np.empty((-(-bins // mb), -(-frames // mf)), dtype=CHOICE_DTYPE)
+    choices["bin_start"] = np.arange(0, bins, mb)[:, None]
+    choices["frame_start"] = np.arange(0, frames, mf)
+    choices["bins"] = np.minimum(mb, bins - choices["bin_start"])
+    choices["frames"] = np.minimum(mf, frames - choices["frame_start"])
     for cells_b, blocks_b, nb in _bands(bins, mb):
         for cells_t, blocks_t, nt in _bands(frames, mf):
             h = _feasible_levels(nt, nb, params.levels)
-            tilings = enumerate_partitions(nt, nb, h)
+            tilings = _distinct(enumerate_partitions(nt, nb, h))
             shape = (blocks_b.stop - blocks_b.start, nb, blocks_t.stop - blocks_t.start, nt)
             index = _choose_tilings(
                 power[cells_b, cells_t].reshape(shape),
@@ -308,14 +267,9 @@ def block_threshold_gains(
                 floor,
                 gains[cells_b, cells_t].reshape(shape),
             )
-            chosen_v[blocks_b, blocks_t] = np.array([t.v for t in tilings])[index]
-            chosen_levels[blocks_b, blocks_t] = h
-    choices = [
-        MacroBlockChoice(b0, t0, min(mb, bins - b0), min(mf, frames - t0), h, v)
-        for b0, h_row, v_row in zip(range(0, bins, mb), chosen_levels.tolist(), chosen_v.tolist())
-        for t0, h, v in zip(range(0, frames, mf), h_row, v_row)
-    ]
-    return BlockGrid(params=params, gains=gains, choices=choices)
+            choices["v"][blocks_b, blocks_t] = np.array([t.v for t in tilings])[index]
+            choices["levels"][blocks_b, blocks_t] = h
+    return BlockGrid(params=params, gains=gains, choices=choices.ravel())
 
 
 def apply_block_threshold(

@@ -265,20 +265,24 @@ def cmd_zoom(args) -> int:
             output_mag = np.abs(result.beamformed_spec.coefficients * result.block_grid.gains)
             _write_matrix_csv(args.dump + "output_mag.csv", output_mag)
             _write_matrix_csv(args.dump + "bt_gains.csv", result.block_grid.gains)
-            blocks_path = args.dump + "bt_blocks.csv"
-            with open(blocks_path, "w", encoding="utf-8") as handle:
-                handle.write("bin_start,frame_start,bins,frames,levels,v\n")
-                for c in result.block_grid.choices:
-                    handle.write(f"{c.bin_start},{c.frame_start},{c.bins},{c.frames},{c.levels},{c.v}\n")
+            choices = result.block_grid.choices
+            header = ",".join(choices.dtype.names)
+            np.savetxt(args.dump + "bt_blocks.csv", choices, "%d", ",", header=header, comments="")
         print(f"wrote dumps with prefix {args.dump}")
     return 0
 
 
 def _append_report(path, report: EvalReport) -> None:
+    # Append only to a new or empty file or to one that holds eval reports.
+    header = EvalReport.csv_header()
     need_header = not os.path.exists(path) or os.path.getsize(path) == 0
+    if not need_header:
+        with open(path, encoding="utf-8", errors="replace") as handle:
+            if handle.readline().rstrip("\r\n") != header:
+                raise DataError(f"{path} is not an eval report: its first line is not the report header")
     with open(path, "a", encoding="utf-8") as handle:
         if need_header:
-            handle.write(EvalReport.csv_header() + "\n")
+            handle.write(header + "\n")
         handle.write(report.to_csv_row() + "\n")
 
 

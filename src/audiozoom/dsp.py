@@ -114,10 +114,6 @@ class Spectrogram:
     def frame_count(self) -> int:
         return self.coefficients.shape[1]
 
-    def bin_frequencies(self) -> np.ndarray:
-        """Center frequency of each bin in Hz."""
-        return np.arange(self.bin_count) * self.sample_rate / self.params.frame_length
-
     def with_coefficients(self, coefficients: np.ndarray) -> "Spectrogram":
         """Same grid, new coefficients."""
         return Spectrogram(coefficients, self.params, self.sample_rate)

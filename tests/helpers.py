@@ -3,10 +3,10 @@
 import numpy as np
 
 from audiozoom.blockthresh import (
+    CHOICE_DTYPE,
     SNR_CAP,
     BlockGrid,
     BlockThresholdParams,
-    MacroBlockChoice,
     _feasible_levels,
     attenuation_factor,
     enumerate_partitions,
@@ -164,8 +164,8 @@ def block_threshold_reference(z, sigma2, params=BlockThresholdParams()):
             gains[b0:b1, t0:t1] = np.repeat(
                 np.repeat(block_gain, tiling.sub_bins, axis=0), tiling.sub_frames, axis=1
             )
-            choices.append(MacroBlockChoice(b0, t0, b1 - b0, t1 - t0, h, tiling.v))
-    return BlockGrid(params=params, gains=gains, choices=choices)
+            choices.append((b0, t0, b1 - b0, t1 - t0, h, tiling.v))
+    return BlockGrid(params=params, gains=gains, choices=np.array(choices, dtype=CHOICE_DTYPE))
 
 
 def istft_reference(spec, length=None):

@@ -1,0 +1,75 @@
+"""The benchmark tracer still fits the package: names resolve, spans nest, counts hold.
+
+perfbench/spans.py is loaded by path and only read. It wraps package
+functions by name and counts work from their results, so a renamed function
+or a changed result shape would otherwise show only in the benchmark's own
+self-test.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+from helpers import default_scene
+
+from audiozoom import pipeline
+from audiozoom.pipeline import PipelineConfig
+
+SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def test_traced_names_resolve():
+    spans = _load_spans()
+    for module_name, functions in spans.TRACED.items():
+        module = importlib.import_module(f"audiozoom.{module_name}")
+        for func_name in functions:
+            assert callable(getattr(module, func_name, None)), f"{module_name}.{func_name}"
+    assert callable(getattr(importlib.import_module("audiozoom.gjbf"), "ThreadPoolExecutor", None))
+
+
+def test_traced_ops_nest_and_count_macro_blocks():
+    spans = _load_spans()
+    scene = default_scene(seed=1, duration_s=0.5)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        # Looked up after install, as the benchmark does, so the wrappers run.
+        mpdr = tracer.run_op(pipeline.run_zoom, scene.mixture, PipelineConfig(beamformer="mpdr"))
+        gjbf = tracer.run_op(
+            pipeline.run_zoom,
+            scene.mixture,
+            PipelineConfig(beamformer="gjbf", gjbf_auto_lengths=(32, 64)),
+        )
+        tracer.run_op(
+            pipeline.evaluate_scene,
+            scene.mixture,
+            scene.target_image,
+            scene.interference_plus_noise,
+            PipelineConfig(),
+        )
+    finally:
+        tracer.remove()
+    assert spans.unresolved_parents(tracer.spans) == []
+    assert len(tracer.op_ids) == 3
+    names = {span.name for span in tracer.spans}
+    assert {"gjbf.select_filter_length", "gjbf.fdaf_gjbf", "pipeline.evaluate_scene"} <= names
+
+    bins, frames = mpdr.beamformed_spec.coefficients.shape
+    want = -(-bins // 16) * -(-frames // 8)
+    counts = [s.count for s in tracer.spans if s.name == "blockthresh.block_threshold_gains"]
+    assert counts == [want] * 3  # one post-filter per operation, all on the same grid
+    assert gjbf.beamformed_spec.coefficients.shape == (bins, frames)
+    metrics = spans.layer_metrics(tracer.spans, tracer.op_ids)
+    assert metrics["blockthresh.block_threshold_gains.macro_blocks"] == want

@@ -8,12 +8,12 @@ from helpers import FS, block_threshold_reference, default_scene
 
 from audiozoom import blockthresh
 from audiozoom.blockthresh import (
+    SNR_CAP,
     BlockThresholdParams,
+    _feasible_levels,
     apply_block_threshold,
     attenuation_factor,
-    block_snr,
     block_threshold_gains,
-    choose_partition,
     enumerate_partitions,
     residual_variance,
 )
@@ -132,25 +132,49 @@ class TestEnumeratePartitions:
             assert 3 % t.sub_frames == 0 and 16 % t.sub_bins == 0
 
 
+def _one_block(z, sigma2, frames, bins, levels):
+    # One macro-block covering the whole region: (gains, its choice record, its tiling).
+    params = BlockThresholdParams(frames, bins, levels)
+    grid = block_threshold_gains(z, sigma2, params)
+    (choice,) = grid.choices
+    (tiling,) = [t for t in enumerate_partitions(frames, bins, choice["levels"]) if t.v == choice["v"]]
+    return grid.gains, choice, tiling
+
+
+def _sub_block_snr(z, sigma2, tiling):
+    # Sub-block SNRs of one (bins, frames) region, shaped (bins/sub_bins, frames/sub_frames).
+    bins, frames = sigma2.shape
+    shape = (bins // tiling.sub_bins, tiling.sub_bins, frames // tiling.sub_frames, tiling.sub_frames)
+    mean_power = (np.abs(z) ** 2).reshape(shape).mean(axis=(1, 3))
+    mean_var = sigma2.reshape(shape).mean(axis=(1, 3))
+    return np.maximum(mean_power / mean_var - 1.0, 0.0)
+
+
 class TestBlockSnr:
+    # Sub-block SNRs seen through the gains of one-macro-block grids.
+
     def test_noise_only_block_is_zero(self):
-        tiling = enumerate_partitions(4, 4, 2)[1]
         z = np.full((4, 4), 1.0 + 0j)
         sigma2 = np.ones((4, 4))
-        assert np.all(block_snr(z, sigma2, tiling) == 0.0)
+        gains, _, _ = _one_block(z, sigma2, 4, 4, 2)
+        assert np.all(gains == 0.0)
 
     def test_three_to_one_ratio_gives_two(self):
-        tiling = enumerate_partitions(4, 4, 2)[1]
         z = np.full((4, 4), np.sqrt(3.0) + 0j)
         sigma2 = np.ones((4, 4))
-        assert np.allclose(block_snr(z, sigma2, tiling), 2.0)
+        gains, choice, _ = _one_block(z, sigma2, 4, 4, 2)
+        assert choice["v"] == 0
+        assert np.allclose(gains, 2.0 / 3.0)
 
     def test_matches_scalar_loop_oracle(self):
+        # A macro-block the size of one sub-block has exactly that tiling, so
+        # its gain is the attenuation of that sub-block's SNR.
         rng = np.random.default_rng(5)
         z = rng.standard_normal((16, 8)) + 1j * rng.standard_normal((16, 8))
         sigma2 = rng.uniform(0.1, 2.0, (16, 8))
         for tiling in enumerate_partitions(8, 16, 4):
-            got = block_snr(z, sigma2, tiling)
+            params = BlockThresholdParams(tiling.sub_frames, tiling.sub_bins, 4)
+            got = block_threshold_gains(z, sigma2, params).gains
             rows = 16 // tiling.sub_bins
             cols = 8 // tiling.sub_frames
             for r in range(rows):
@@ -160,14 +184,15 @@ class TestBlockSnr:
                         for j in range(tiling.sub_frames):
                             zs += abs(z[r * tiling.sub_bins + i, c * tiling.sub_frames + j]) ** 2
                             ss += sigma2[r * tiling.sub_bins + i, c * tiling.sub_frames + j]
-                    want = max(zs / ss - 1.0, 0.0)
-                    assert got[r, c] == pytest.approx(want, rel=1e-12)
+                    want = attenuation_factor(max(zs / ss - 1.0, 0.0))
+                    cell = got[r * tiling.sub_bins, c * tiling.sub_frames]
+                    assert cell == pytest.approx(want, rel=1e-12)
 
     def test_floored_variance_hits_sentinel(self):
-        tiling = enumerate_partitions(4, 4, 2)[0]
         z = np.ones((4, 4), dtype=complex)
         sigma2 = np.zeros((4, 4))
-        assert np.all(block_snr(z, sigma2, tiling) == 1e6)
+        gains, _, _ = _one_block(z, sigma2, 4, 4, 2)
+        assert np.all(gains == attenuation_factor(SNR_CAP))
 
 
 class TestAttenuationFactor:
@@ -192,23 +217,22 @@ class TestAttenuationFactor:
 
 
 class TestChoosePartition:
+    # The tiling a one-macro-block grid picks, read from its choice record.
+
     def test_all_noise_ties_to_v0_full_suppression(self):
         rng = np.random.default_rng(6)
         z = (rng.standard_normal((16, 8)) + 1j * rng.standard_normal((16, 8))) * 1e-3
         sigma2 = np.full((16, 8), 10.0)
-        tilings = enumerate_partitions(8, 16, 4)
-        tiling, snr, gains = choose_partition(z, sigma2, tilings, snr_threshold=1.0)
-        assert tiling.v == 0
-        assert np.all(snr == 0.0)
+        gains, choice, _ = _one_block(z, sigma2, 8, 16, 4)
+        assert choice["v"] == 0
         assert np.all(gains == 0.0)
 
     def test_uniform_high_snr_ties_to_smallest_v(self):
         z = np.full((16, 8), 10.0 + 0j)
         sigma2 = np.ones((16, 8))
-        tilings = enumerate_partitions(8, 16, 4)
-        tiling, snr, gains = choose_partition(z, sigma2, tilings)
-        assert tiling.v == 0
-        assert np.allclose(snr, 99.0)
+        gains, choice, _ = _one_block(z, sigma2, 8, 16, 4)
+        assert choice["v"] == 0
+        assert np.allclose(gains, attenuation_factor(99.0))
 
     def test_tonal_ridge_prefers_bin_thin_time_long_blocks(self):
         # One bin of sustained energy across all frames; v=0 blocks (thin in
@@ -218,13 +242,11 @@ class TestChoosePartition:
         sigma2 = np.ones((bins, frames))
         z = np.zeros((bins, frames), dtype=complex)
         z[5, :] = 1.9  # ridge power 3.61: above threshold only when undiluted
-        tilings = enumerate_partitions(frames, bins, levels)
         scores = {}
-        for tiling in tilings:
-            snr = block_snr(z, sigma2, tiling)
-            scores[tiling.v] = int((snr > 1.0).sum())
-        chosen, _, _ = choose_partition(z, sigma2, tilings)
-        assert chosen.v == 0
+        for tiling in enumerate_partitions(frames, bins, levels):
+            scores[tiling.v] = int((_sub_block_snr(z, sigma2, tiling) > 1.0).sum())
+        _, choice, chosen = _one_block(z, sigma2, frames, bins, levels)
+        assert choice["v"] == 0
         assert scores[0] == max(scores.values())
         assert all(scores[0] >= s for v, s in scores.items() if v != 0)
         assert chosen.sub_bins == 1 and chosen.sub_frames == 16
@@ -233,10 +255,11 @@ class TestChoosePartition:
         rng = np.random.default_rng(7)
         z = rng.standard_normal((16, 8)) + 1j * rng.standard_normal((16, 8))
         sigma2 = rng.uniform(0.5, 1.5, (16, 8))
-        tilings = enumerate_partitions(8, 16, 4)
-        tiling, snr, gains = choose_partition(z, sigma2, tilings)
-        assert gains.shape == snr.shape
-        assert np.allclose(gains, 1.0 - 1.0 / (snr + 1.0))
+        gains, _, tiling = _one_block(z, sigma2, 8, 16, 4)
+        snr = _sub_block_snr(z, sigma2, tiling)
+        want = np.repeat(np.repeat(1.0 - 1.0 / (snr + 1.0), tiling.sub_bins, 0), tiling.sub_frames, 1)
+        assert gains.shape == z.shape
+        assert np.allclose(gains, want)
 
 
 class TestApplyBlockThreshold:
@@ -295,11 +318,8 @@ class TestApplyBlockThreshold:
         assert grid.gains.shape == spec.coefficients.shape
         assert np.all((grid.gains >= 0) & (grid.gains <= 1))
         covered = np.zeros(spec.coefficients.shape, dtype=int)
-        for choice in grid.choices:
-            covered[
-                choice.bin_start : choice.bin_start + choice.bins,
-                choice.frame_start : choice.frame_start + choice.frames,
-            ] += 1
+        for b0, t0, nb, nt in grid.choices[["bin_start", "frame_start", "bins", "frames"]].tolist():
+            covered[b0 : b0 + nb, t0 : t0 + nt] += 1
         assert np.all(covered == 1)
 
     def test_edge_blocks_fall_back_to_feasible_levels(self):
@@ -307,8 +327,8 @@ class TestApplyBlockThreshold:
         spec, rng = self._random_spec(12)
         sigma2 = rng.uniform(0.1, 2.0, spec.coefficients.shape)
         grid = block_threshold_gains(spec, sigma2)
-        edge = [c for c in grid.choices if c.bins == 1]
-        assert edge and all(c.levels <= grid.params.levels for c in edge)
+        edge = grid.choices[grid.choices["bins"] == 1]
+        assert edge.size and np.all(edge["levels"] <= grid.params.levels)
 
     def test_params_validation(self):
         with pytest.raises(ValueError, match="smaller than one sub-block"):
@@ -361,7 +381,8 @@ def _params_id(params):
 
 
 def _assert_same_grid(got, want):
-    assert got.choices == want.choices
+    assert got.choices.dtype == want.choices.dtype
+    assert np.array_equal(got.choices, want.choices)
     assert np.abs(got.gains - want.gains).max() <= 1e-15
 
 
@@ -420,3 +441,38 @@ def test_batched_core_calls_do_not_grow_with_macro_blocks(monkeypatch):
         assert len(grid.choices) == 17 * -(-frames // 8)
         counts.append(len(calls))
     assert counts[0] == counts[1] <= 4
+
+
+def test_each_region_scores_distinct_tilings(monkeypatch):
+    # At the default 8x16 macro-block v=0's 16x1 shape is placed as 1x16,
+    # v=4's tiling: each region scores each realised shape once.
+    extents = []
+    core = blockthresh._choose_tilings
+
+    def capturing(power, sigma2, tilings, *rest):
+        extents.append([(t.sub_frames, t.sub_bins) for t in tilings])
+        return core(power, sigma2, tilings, *rest)
+
+    monkeypatch.setattr(blockthresh, "_choose_tilings", capturing)
+    rng = np.random.default_rng(3)
+    for params in ORACLE_PARAMS:
+        power = rng.uniform(0.0, 2.0, (257, 101))
+        block_threshold_gains(power, rng.uniform(0.1, 2.0, power.shape), params)
+    assert extents
+    assert all(len(set(region)) == len(region) for region in extents)
+    assert [(1, 16), (8, 2), (4, 4), (2, 8)] in extents  # the default interior, v=0..3
+
+
+def test_feasible_levels_is_deepest_enumerable_depth():
+    for frames in range(1, 20):
+        for bins in range(1, 34):
+            for levels in range(6):
+                deepest = 0
+                for h in range(levels, -1, -1):
+                    try:
+                        enumerate_partitions(frames, bins, h)
+                    except ValueError:
+                        continue
+                    deepest = h
+                    break
+                assert _feasible_levels(frames, bins, levels) == deepest

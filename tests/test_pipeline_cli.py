@@ -13,6 +13,7 @@ from audiozoom import pipeline
 from audiozoom.cli import _write_matrix_csv, main
 from audiozoom.dsp import AudioBuffer
 from audiozoom.gjbf import GjbfConfig
+from audiozoom.metrics import EvalReport
 from audiozoom.pipeline import PipelineConfig, evaluate_scene, frozen_stage, normalize_peak, run_zoom
 from audiozoom.simulate import echo_taps_for_t60, speech_like
 from audiozoom.wav import read_wav, write_wav
@@ -257,10 +258,9 @@ class TestCliZoom:
         want = block_threshold_reference(result.beamformed_spec, result.sigma2)
         _write_matrix_csv(tmp_path / "want_gains.csv", want.gains)
         blocks = ["bin_start,frame_start,bins,frames,levels,v\n"] + [
-            f"{c.bin_start},{c.frame_start},{c.bins},{c.frames},{c.levels},{c.v}\n"
-            for c in want.choices
+            ",".join(str(value) for value in record) + "\n" for record in want.choices.tolist()
         ]
-        assert Path(dump + "bt_blocks.csv").read_text() == "".join(blocks)
+        assert Path(dump + "bt_blocks.csv").read_bytes() == "".join(blocks).encode()
         want_gains = (tmp_path / "want_gains.csv").read_bytes()
         assert Path(dump + "bt_gains.csv").read_bytes() == want_gains
 
@@ -347,6 +347,38 @@ class TestCliEval:
             "input_sinr_db,osinr_db,sinr_gain_db,mse_db,osinr_beamformer_db,mse_beamformer_db"
         )
         assert len(lines[1].split(",")) == 6
+
+    def _eval_report(self, tmp_path, capsys, report):
+        prefix = self._scene_files(tmp_path, capsys, seed=44, duration=0.5)
+        mix = read_wav(prefix + "mixture.wav")
+        est_path = tmp_path / "mix_ch1.wav"
+        write_wav(est_path, mix.channel(0))
+        return main(
+            ["eval", str(est_path), prefix + "target_img.wav", prefix + "interf_img.wav",
+             "--report", str(report)]
+        )
+
+    def test_report_appends_under_its_own_header(self, tmp_path, capsys):
+        report = tmp_path / "report.csv"
+        assert self._eval_report(tmp_path, capsys, report) == 0
+        assert self._eval_report(tmp_path, capsys, report) == 0
+        lines = report.read_text().splitlines()
+        assert lines[0] == EvalReport.csv_header()
+        assert len(lines) == 3 and lines[1] == lines[2]
+
+    def test_report_into_empty_file_writes_header(self, tmp_path, capsys):
+        report = tmp_path / "report.csv"
+        report.write_text("")
+        assert self._eval_report(tmp_path, capsys, report) == 0
+        lines = report.read_text().splitlines()
+        assert lines[0] == EvalReport.csv_header() and len(lines) == 2
+
+    def test_report_refuses_foreign_csv(self, tmp_path, capsys):
+        report = tmp_path / "foreign.csv"
+        report.write_text("a,b\n1,2\n")
+        assert self._eval_report(tmp_path, capsys, report) == 2
+        assert "is not an eval report" in capsys.readouterr().err
+        assert report.read_text() == "a,b\n1,2\n"
 
     def test_zoom_then_eval_shows_positive_gain(self, tmp_path, capsys):
         prefix = self._scene_files(tmp_path, capsys, seed=41)
