@@ -98,9 +98,16 @@ def residual_variance(y1: Spectrogram, y2: Spectrogram, z: Spectrogram) -> np.nd
     shapes = {y1.coefficients.shape, y2.coefficients.shape, z.coefficients.shape}
     if len(shapes) != 1:
         raise ValueError("spectrogram dimensions must match")
+    # |.|^2 squares the magnitude in place (x **= 2 is x*x, the same bits as
+    # np.abs(d) ** 2), and the second channel reuses the first's difference.
     with np.errstate(over="ignore"):
-        sigma2 = np.abs(y1.coefficients - z.coefficients) ** 2
-        sigma2 += np.abs(y2.coefficients - z.coefficients) ** 2
+        diff = y1.coefficients - z.coefficients
+        sigma2 = np.abs(diff)
+        sigma2 **= 2
+        np.subtract(y2.coefficients, z.coefficients, out=diff)
+        square = np.abs(diff)
+        square **= 2
+        sigma2 += square
         sigma2 *= 0.5
     if not np.all(np.isfinite(sigma2)):
         raise ValueError("input level overflows the residual variance; scale the input down")
@@ -241,7 +248,8 @@ def block_threshold_gains(
     """
     coeffs = z.coefficients if isinstance(z, Spectrogram) else np.asarray(z)
     with np.errstate(over="ignore"):  # variance_floor rejects an overflowed power
-        power = np.abs(coeffs) ** 2
+        power = np.abs(coeffs)
+        power **= 2
     sigma2 = np.asarray(sigma2, dtype=np.float64)
     if power.shape != sigma2.shape:
         raise ValueError("variance map dimensions must match the spectrogram")

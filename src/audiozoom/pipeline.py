@@ -45,10 +45,15 @@ class PipelineConfig:
 
 @dataclass
 class ZoomResult:
-    """Outputs and intermediates of one pipeline run (output is not level-normalized)."""
+    """Outputs and intermediates of one pipeline run (output is not level-normalized).
+
+    beamformed is the beamformer's waveform. GJBF, and MPDR without the
+    post-filter, make it on the way; MPDR with the post-filter inverts
+    beamformed_spec on the first read and keeps it, so a run whose
+    waveform nobody reads makes no iSTFT for it.
+    """
 
     output: AudioBuffer
-    beamformed: AudioBuffer
     beamformed_spec: Spectrogram
     sigma2: np.ndarray
     block_grid: BlockGrid | None
@@ -57,6 +62,13 @@ class ZoomResult:
     gjbf_config_used: GjbfConfig | None
     sweep_curve: list | None
     config: PipelineConfig
+    _beamformed: AudioBuffer | None = field(default=None, repr=False)
+
+    @property
+    def beamformed(self) -> AudioBuffer:
+        if self._beamformed is None:
+            self._beamformed = istft(self.beamformed_spec, length=self.output.length)
+        return self._beamformed
 
 
 def _split_channels(mixture: AudioBuffer) -> tuple:
@@ -75,10 +87,10 @@ def run_zoom(mixture: AudioBuffer, config: PipelineConfig = PipelineConfig()) ->
     state = None
     gjbf_used = None
     curve = None
+    beamformed = None
     if config.beamformer == "mpdr":
         weights = design_mpdr(y1, y2, alpha=config.mpdr_alpha)
         z_spec = apply_mpdr(y1, y2, weights)
-        beamformed = istft(z_spec, length=mixture.length)
     else:
         gjbf_used = config.gjbf
         if config.gjbf_auto_lengths:
@@ -92,17 +104,20 @@ def run_zoom(mixture: AudioBuffer, config: PipelineConfig = PipelineConfig()) ->
         z_spec = stft(beamformed, config.stft)
 
     sigma2 = residual_variance(y1, y2, z_spec)
+    del ch1, ch2, y1, y2  # the channel spectra are not alive in the post-filter
 
     block_grid = None
-    output = beamformed
     if config.bt_enabled:
         block_grid = block_threshold_gains(z_spec, sigma2, config.bt)
         postfiltered = z_spec.with_coefficients(z_spec.coefficients * block_grid.gains)
         output = istft(postfiltered, length=mixture.length)
+    else:
+        if beamformed is None:
+            beamformed = istft(z_spec, length=mixture.length)
+        output = beamformed
 
     return ZoomResult(
         output=output,
-        beamformed=beamformed,
         beamformed_spec=z_spec,
         sigma2=sigma2,
         block_grid=block_grid,
@@ -111,6 +126,7 @@ def run_zoom(mixture: AudioBuffer, config: PipelineConfig = PipelineConfig()) ->
         gjbf_config_used=gjbf_used,
         sweep_curve=curve,
         config=config,
+        _beamformed=beamformed,
     )
 
 

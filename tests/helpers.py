@@ -9,11 +9,13 @@ from audiozoom.blockthresh import (
     BlockThresholdParams,
     _feasible_levels,
     attenuation_factor,
+    block_threshold_gains,
     enumerate_partitions,
     variance_floor,
 )
-from audiozoom.dsp import AudioBuffer, check_cola, make_window
-from audiozoom.gjbf import DIVERGENCE_LIMIT, POWER_SMOOTHING
+from audiozoom.dsp import AudioBuffer, check_cola, istft, make_window, stft
+from audiozoom.gjbf import DIVERGENCE_LIMIT, POWER_SMOOTHING, fdaf_gjbf
+from audiozoom.mpdr import apply_mpdr, design_mpdr
 from audiozoom.simulate import MixtureSpec, SourceSpec, speech_like, synthesize_mixture, two_mic_array
 
 FS = 16000
@@ -166,6 +168,39 @@ def block_threshold_reference(z, sigma2, params=BlockThresholdParams()):
             )
             choices.append((b0, t0, b1 - b0, t1 - t0, h, tiling.v))
     return BlockGrid(params=params, gains=gains, choices=np.array(choices, dtype=CHOICE_DTYPE))
+
+
+def run_zoom_reference(mixture, config):
+    """Eager form of pipeline.run_zoom, without the length sweep.
+
+    Inverts the beamformed spectrogram whether or not anyone reads it, keeps
+    both channel spectra to the end and takes the residual variance's |.|^2
+    as np.abs(.) ** 2; the gains come from block_threshold_gains itself.
+    Returns the result's arrays by attribute name ("gains" and "choices" from
+    the block grid, "weights" or "trajectory" from the beamformer); serves as
+    the oracle for the lazy, in-place form.
+    """
+    ch1, ch2 = mixture.channel(0), mixture.channel(1)
+    y1, y2 = stft(ch1, config.stft), stft(ch2, config.stft)
+    if config.beamformer == "mpdr":
+        weights = design_mpdr(y1, y2, alpha=config.mpdr_alpha)
+        z_spec = apply_mpdr(y1, y2, weights)
+        beamformed = istft(z_spec, length=mixture.length)
+        arrays = {"weights": weights.weights}
+    else:
+        beamformed, _, state = fdaf_gjbf(ch1, ch2, config.gjbf)
+        z_spec = stft(beamformed, config.stft)
+        arrays = {"trajectory": state.trajectory}
+    z = z_spec.coefficients
+    sigma2 = (np.abs(y1.coefficients - z) ** 2 + np.abs(y2.coefficients - z) ** 2) * 0.5
+    arrays.update(
+        output=beamformed.samples, beamformed=beamformed.samples, beamformed_spec=z, sigma2=sigma2
+    )
+    if config.bt_enabled:
+        grid = block_threshold_gains(z, sigma2, config.bt)
+        output = istft(z_spec.with_coefficients(z * grid.gains), length=mixture.length)
+        arrays.update(output=output.samples, gains=grid.gains, choices=grid.choices)
+    return arrays
 
 
 def istft_reference(spec, length=None):

@@ -73,3 +73,20 @@ def test_traced_ops_nest_and_count_macro_blocks():
     assert gjbf.beamformed_spec.coefficients.shape == (bins, frames)
     metrics = spans.layer_metrics(tracer.spans, tracer.op_ids)
     assert metrics["blockthresh.block_threshold_gains.macro_blocks"] == want
+
+
+def test_traced_mpdr_zoom_counts_transforms():
+    # The benchmark's self-test pins dsp.stft.calls == 2 and no GJBF on
+    # long_mpdr; an MPDR zoom inverts only its output spectrogram.
+    spans = _load_spans()
+    scene = default_scene(seed=1, duration_s=0.5)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.run_op(pipeline.run_zoom, scene.mixture, PipelineConfig(beamformer="mpdr"))
+    finally:
+        tracer.remove()
+    names = [span.name for span in tracer.spans]
+    assert names.count("dsp.stft") == 2
+    assert names.count("dsp.istft") == 1
+    assert names.count("gjbf.fdaf_gjbf") == 0

@@ -276,6 +276,14 @@ class TestApplyBlockThreshold:
         rel = np.abs(out.coefficients - spec.coefficients) / np.abs(spec.coefficients)
         assert rel.max() <= 1e-6
 
+    def test_power_is_squared_magnitude_exactly(self, monkeypatch):
+        spec, _ = self._random_spec(11)
+        seen = []
+        monkeypatch.setattr(blockthresh, "variance_floor", lambda p: seen.append(p) or 1e-300)
+        block_threshold_gains(spec, np.ones(spec.coefficients.shape))
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], np.abs(spec.coefficients) ** 2)
+
     def test_overflowing_power_is_value_error(self):
         spec, _ = self._random_spec(10)
         with warnings.catch_warnings(record=True) as caught:
