@@ -20,7 +20,6 @@ from .gjbf import (
     fixed_path,
     mean_sinr_db,
     select_filter_length,
-    sinr_map,
 )
 from .metrics import (
     EvalReport,

@@ -179,13 +179,11 @@ def _echo_settings(settings: dict) -> None:
         print(f"config {key}={_show(key, settings[key])}")
 
 
-def _write_matrix_csv(path, matrix: np.ndarray, fmt: str = "{:.6e}") -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        frames = matrix.shape[1]
-        handle.write("bin," + ",".join(f"frame_{t}" for t in range(frames)) + "\n")
-        for b in range(matrix.shape[0]):
-            row = ",".join(fmt.format(v) for v in matrix[b])
-            handle.write(f"{b},{row}\n")
+def _write_matrix_csv(path, matrix: np.ndarray) -> None:
+    bins, frames = matrix.shape
+    header = "bin," + ",".join(f"frame_{t}" for t in range(frames))
+    rows = np.column_stack([np.arange(bins), matrix])
+    np.savetxt(path, rows, "%d" + ",%.6e" * frames, header=header, comments="")
 
 
 def _load_stereo(path) -> AudioBuffer:

@@ -27,9 +27,9 @@ DIVERGENCE_LIMIT = 1e6  # largest tap magnitude before the run counts as diverge
 class GjbfConfig:
     """Adaptive-path configuration.
 
-    block_size defaults to filter_length and alignment_delay to
-    filter_length // 2 (fixed path is delayed by that much so the causal
-    filter can model the interference path; the output is advanced back).
+    block_size defaults to filter_length. The fixed path is delayed by
+    filter_length // 2 (the delay property) so that the causal filter can
+    model the interference path; the output is advanced back.
     normalized=False freezes the step size (plain block LMS), which is the
     mode matched by the time-domain reference implementation.
     """
@@ -38,7 +38,6 @@ class GjbfConfig:
     step_size: float = 0.05
     block_size: int | None = None
     leak: float = 0.0
-    alignment_delay: int | None = None
     normalized: bool = True
 
     def __post_init__(self):
@@ -50,8 +49,6 @@ class GjbfConfig:
             raise ValueError("block_size must be >= 1")
         if not 0.0 <= self.leak <= 1.0:
             raise ValueError("leak must be in [0, 1]")
-        if self.alignment_delay is not None and self.alignment_delay < 0:
-            raise ValueError("alignment_delay must be nonnegative")
 
     @property
     def block(self) -> int:
@@ -59,7 +56,7 @@ class GjbfConfig:
 
     @property
     def delay(self) -> int:
-        return self.filter_length // 2 if self.alignment_delay is None else self.alignment_delay
+        return self.filter_length // 2
 
 
 @dataclass
@@ -187,34 +184,21 @@ def apply_gjbf(
     return AudioBuffer(z[config.delay : config.delay + ch1.length], ch1.sample_rate)
 
 
-def _checked_power(z: Spectrogram | np.ndarray, sigma2: np.ndarray) -> tuple:
-    coeffs = z.coefficients if isinstance(z, Spectrogram) else np.asarray(z)
+def mean_sinr_db(z: Spectrogram, sigma2: np.ndarray) -> float:
+    """Scalar SINR score: mean over valid cells of 10*log10(1 + SINR).
+
+    A cell's SINR is (|Z|^2 - sigma^2) / sigma^2, clipped to [0, SNR_CAP].
+    Cells whose variance sits below VARIANCE_FLOOR_FACTOR of the mean output
+    power are not valid; with none valid the score is that of SNR_CAP.
+    """
     with np.errstate(over="ignore"):  # variance_floor rejects an overflowed power
-        power = np.abs(coeffs) ** 2 if np.iscomplexobj(coeffs) else coeffs.astype(np.float64)
+        power = np.abs(z.coefficients) ** 2
     sigma2 = np.asarray(sigma2, dtype=np.float64)
     if power.shape != sigma2.shape:
         raise ValueError("dimensions must match")
     if np.any(sigma2 < 0):
         raise ValueError("variance map must be nonnegative")
-    return power, sigma2, variance_floor(power)
-
-
-def sinr_map(z: Spectrogram | np.ndarray, sigma2: np.ndarray) -> np.ndarray:
-    """Per-cell SINR estimate (|Z|^2 - sigma^2) / sigma^2, floored at 0.
-
-    Cells whose variance sits below VARIANCE_FLOOR_FACTOR of the mean output
-    power get the SNR_CAP sentinel; everything is clipped to [0, SNR_CAP].
-    """
-    power, sigma2, floor = _checked_power(z, sigma2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.clip((power - sigma2) / sigma2, 0.0, SNR_CAP)
-    return np.where(sigma2 < floor, SNR_CAP, ratio)
-
-
-def mean_sinr_db(z: Spectrogram, sigma2: np.ndarray) -> float:
-    """Scalar SINR score: mean over valid cells of 10*log10(1 + SINR)."""
-    power, sigma2, floor = _checked_power(z, sigma2)
-    valid = sigma2 >= floor
+    valid = sigma2 >= variance_floor(power)
     if not valid.any():
         return float(10.0 * np.log10(1.0 + SNR_CAP))
     ratio = np.clip((power[valid] - sigma2[valid]) / sigma2[valid], 0.0, SNR_CAP)
@@ -244,7 +228,7 @@ def select_filter_length(
     y2 = stft(ch2, stft_params)
 
     def run(length: int) -> float:
-        trial = replace(config, filter_length=length, block_size=None, alignment_delay=None)
+        trial = replace(config, filter_length=length, block_size=None)
         z, _, _ = fdaf_gjbf(ch1, ch2, trial)
         z_spec = stft(z, stft_params)
         sigma2 = residual_variance(y1, y2, z_spec)

@@ -1,8 +1,8 @@
 """Objective evaluation against ground-truth images: output SINR and MSE.
 
 Linear stages are decomposed by re-running them (frozen) on each image;
-the nonlinear post-filter is decomposed in shadow-gain fashion, reapplying
-the gains computed on the mixture to each component.
+the nonlinear post-filter in shadow-gain fashion, by reapplying the gains
+computed on the mixture to a component.
 """
 
 from __future__ import annotations
@@ -30,17 +30,17 @@ def signal_power(x) -> float:
     return float(np.sum(np.abs(values) ** 2))
 
 
-def osinr_db(target, residual, cap: float = DB_CAP) -> float:
-    """10*log10 of target power over residual power, clipped to +/-cap dB."""
+def osinr_db(target, residual) -> float:
+    """10*log10 of target power over residual power, clipped to +/-DB_CAP dB."""
     p_target = signal_power(target)
     p_residual = signal_power(residual)
     if p_residual == 0.0 and p_target == 0.0:
         return 0.0
     if p_residual == 0.0:
-        return cap
+        return DB_CAP
     if p_target == 0.0:
-        return -cap
-    return float(np.clip(10.0 * np.log10(p_target / p_residual), -cap, cap))
+        return -DB_CAP
+    return float(np.clip(10.0 * np.log10(p_target / p_residual), -DB_CAP, DB_CAP))
 
 
 def align_delay_and_scale(estimate: np.ndarray, reference: np.ndarray, max_shift: int = 512):
@@ -77,7 +77,7 @@ def _overlap(n: int, shift: int) -> tuple:
     return max(0, -shift), min(n, n - shift)
 
 
-def mse_db(estimate: AudioBuffer, reference: AudioBuffer, max_shift: int = 512, cap: float = DB_CAP) -> float:
+def mse_db(estimate: AudioBuffer, reference: AudioBuffer, max_shift: int = 512) -> float:
     """Normalized error power in dB after global delay-and-scale alignment.
 
     Scored over the overlap region of the aligned pair, so a pure delay
@@ -96,8 +96,8 @@ def mse_db(estimate: AudioBuffer, reference: AudioBuffer, max_shift: int = 512, 
         raise ValueError("reference signal is silent over the aligned range")
     err = float(np.sum((aligned[lo:hi] - ref_seg) ** 2))
     if err == 0.0:
-        return -cap
-    return float(np.clip(10.0 * np.log10(err / seg_power), -cap, cap))
+        return -DB_CAP
+    return float(np.clip(10.0 * np.log10(err / seg_power), -DB_CAP, DB_CAP))
 
 
 def decompose_linear(stage, target_image, residual_image, mixture_output=None, rtol: float = 1e-6):

@@ -94,25 +94,17 @@ def scaled_loading(cov: np.ndarray) -> np.ndarray:
 
 
 def design_mpdr(
-    spec_ch1: Spectrogram,
-    spec_ch2: Spectrogram,
-    steering: np.ndarray | None = None,
-    alpha: float | None = None,
+    spec_ch1: Spectrogram, spec_ch2: Spectrogram, *, alpha: float | None = None
 ) -> MpdrWeights:
-    """Design per-bin weights from the observed channels.
+    """Design per-bin weights, steered to broadside [1, 1], from the observed channels.
 
     Args:
-        steering: (bins, 2) per-bin steering; defaults to broadside [1, 1].
         alpha: fixed loading for every bin; when None each bin uses
             LOADING_FACTOR * trace(R)/2.
     """
     cov = estimate_covariance(spec_ch1, spec_ch2)
     bins = cov.shape[0]
-    if steering is None:
-        steering = np.ones((bins, 2), dtype=np.complex128)
-    steering = np.asarray(steering, dtype=np.complex128)
-    if steering.shape != (bins, 2):
-        raise ValueError(f"steering must have shape ({bins}, 2)")
+    steering = np.ones((bins, 2), dtype=np.complex128)
     loading = scaled_loading(cov) if alpha is None else np.full(bins, float(alpha))
     return MpdrWeights(mpdr_weights(cov, steering, loading), steering, loading)
 

@@ -1,7 +1,7 @@
 """End-to-end composition: beamform the two channels, then block-threshold.
 
-Also builds the frozen-stage and shadow-gain decompositions used to score a
-run against ground-truth images.
+Also splits a run into its target and residual shares, by running its
+frozen stages on ground-truth images, to score it.
 """
 
 from __future__ import annotations
@@ -13,17 +13,12 @@ import numpy as np
 from .blockthresh import BlockGrid, BlockThresholdParams, block_threshold_gains, residual_variance
 from .dsp import AudioBuffer, Spectrogram, StftParams, istft, stft
 from .gjbf import AdaptiveFilterState, GjbfConfig, apply_gjbf, fdaf_gjbf, select_filter_length
-from .metrics import (
-    build_report,
-    decompose_linear,
-    mse_db,
-    osinr_db,
-    shadow_gain_decompose,
-)
+from .metrics import build_report, decompose_linear, mse_db, osinr_db
 from .mpdr import MpdrWeights, apply_mpdr, design_mpdr
 
 BEAMFORMERS = ("mpdr", "gjbf")
 DEFAULT_SWEEP_LENGTHS = (50, 100, 150, 200, 250, 300)
+OUTPUT_PEAK_DBFS = -1.0  # the level normalize_peak sets a buffer's peak to
 
 
 @dataclass(frozen=True)
@@ -80,8 +75,6 @@ def _split_channels(mixture: AudioBuffer) -> tuple:
 def run_zoom(mixture: AudioBuffer, config: PipelineConfig = PipelineConfig()) -> ZoomResult:
     """Run the selected beamformer and (optionally) the post-filter."""
     ch1, ch2 = _split_channels(mixture)
-    y1 = stft(ch1, config.stft)
-    y2 = stft(ch2, config.stft)
 
     weights = None
     state = None
@@ -89,6 +82,8 @@ def run_zoom(mixture: AudioBuffer, config: PipelineConfig = PipelineConfig()) ->
     curve = None
     beamformed = None
     if config.beamformer == "mpdr":
+        y1 = stft(ch1, config.stft)
+        y2 = stft(ch2, config.stft)
         weights = design_mpdr(y1, y2, alpha=config.mpdr_alpha)
         z_spec = apply_mpdr(y1, y2, weights)
     else:
@@ -97,11 +92,12 @@ def run_zoom(mixture: AudioBuffer, config: PipelineConfig = PipelineConfig()) ->
             best, curve = select_filter_length(
                 ch1, ch2, config.gjbf_auto_lengths, gjbf_used, config.stft
             )
-            gjbf_used = replace(
-                gjbf_used, filter_length=best, block_size=None, alignment_delay=None
-            )
+            gjbf_used = replace(gjbf_used, filter_length=best, block_size=None)
         beamformed, _, state = fdaf_gjbf(ch1, ch2, gjbf_used)
         z_spec = stft(beamformed, config.stft)
+        # Only residual_variance reads the channel spectra: not alive in the sweep or filter.
+        y1 = stft(ch1, config.stft)
+        y2 = stft(ch2, config.stft)
 
     sigma2 = residual_variance(y1, y2, z_spec)
     del ch1, ch2, y1, y2  # the channel spectra are not alive in the post-filter
@@ -130,6 +126,18 @@ def run_zoom(mixture: AudioBuffer, config: PipelineConfig = PipelineConfig()) ->
     )
 
 
+def _mpdr_stage(result: ZoomResult):
+    """The run's MPDR weights as a fixed linear map from a 2-channel
+    AudioBuffer to its share of the spectrogram the post-filter multiplies."""
+    params = result.config.stft
+
+    def stage(buffer: AudioBuffer) -> Spectrogram:
+        a, b = _split_channels(buffer)
+        return apply_mpdr(stft(a, params), stft(b, params), result.mpdr_weights)
+
+    return stage
+
+
 def frozen_stage(result: ZoomResult):
     """The run's beamformer as a fixed linear map, for scoring images.
 
@@ -138,14 +146,13 @@ def frozen_stage(result: ZoomResult):
     taps each block ran with (apply_gjbf). On the mixture it reproduces
     result.beamformed.
     """
-    config = result.config
+    if result.config.beamformer == "mpdr":
+        spectrum = _mpdr_stage(result)
+        return lambda buffer: istft(spectrum(buffer), length=buffer.length)
 
     def stage(buffer: AudioBuffer) -> AudioBuffer:
         a, b = _split_channels(buffer)
-        if config.beamformer == "gjbf":
-            return apply_gjbf(a, b, result.gjbf_state, result.gjbf_config_used)
-        spec = apply_mpdr(stft(a, config.stft), stft(b, config.stft), result.mpdr_weights)
-        return istft(spec, length=buffer.length)
+        return apply_gjbf(a, b, result.gjbf_state, result.gjbf_config_used)
 
     return stage
 
@@ -155,33 +162,43 @@ def evaluate_scene(
     target_image: AudioBuffer,
     residual_image: AudioBuffer,
     config: PipelineConfig = PipelineConfig(),
-    max_shift: int = 512,
 ) -> tuple:
     """Score the pipeline on a simulated scene with known images.
 
     Returns (EvalReport, ZoomResult). The beamformer is decomposed by running
-    frozen_stage on each image, whose two outputs must sum to the run's own
-    result.beamformed; the post-filter by applying the mixture-derived gains
-    to each component spectrogram.
+    its frozen stage on each image; the two shares must sum to what the run
+    itself beamformed. The post-filter's target is the inverse of its gains
+    times the target's share of the spectrogram they multiplied, and its
+    residual is the run's output minus that target, so the two sum to
+    result.output.
     """
     result = run_zoom(mixture, config)
-    target_out, residual_out = decompose_linear(
-        frozen_stage(result), target_image, residual_image, mixture_output=result.beamformed
-    )
+    length = mixture.length
+    if config.beamformer == "mpdr":
+        # MPDR beamforms spectrograms: split the one the post-filter multiplied, then invert each share.
+        target_spec, residual_spec = decompose_linear(
+            _mpdr_stage(result), target_image, residual_image, mixture_output=result.beamformed_spec
+        )
+        target_out = istft(target_spec, length=length)
+        residual_out = istft(residual_spec, length=length)
+    else:
+        target_out, residual_out = decompose_linear(
+            frozen_stage(result), target_image, residual_image, mixture_output=result.beamformed
+        )
+        # GJBF's post-filter multiplied the spectrogram of its waveform.
+        target_spec = stft(target_out, config.stft) if config.bt_enabled else None
 
     reference = AudioBuffer(target_image.samples.mean(axis=0), target_image.sample_rate)
     input_sinr = osinr_db(target_image, residual_image)
     osinr_beamformer = osinr_db(target_out, residual_out)
-    mse_beamformer = mse_db(result.beamformed, reference, max_shift)
+    mse_beamformer = mse_db(result.beamformed, reference)
 
     if config.bt_enabled:
-        target_spec = stft(target_out, config.stft)
-        residual_spec = stft(residual_out, config.stft)
-        target_final, residual_final = shadow_gain_decompose(
-            result.block_grid.gains, target_spec, residual_spec
-        )
+        gained = target_spec.coefficients * result.block_grid.gains
+        target_final = istft(target_spec.with_coefficients(gained), length=length)
+        residual_final = AudioBuffer(result.output.samples - target_final.samples, mixture.sample_rate)
         final_osinr = osinr_db(target_final, residual_final)
-        final_mse = mse_db(result.output, reference, max_shift)
+        final_mse = mse_db(result.output, reference)
     else:
         final_osinr = osinr_beamformer
         final_mse = mse_beamformer
@@ -196,10 +213,10 @@ def evaluate_scene(
     return report, result
 
 
-def normalize_peak(buffer: AudioBuffer, peak_dbfs: float = -1.0) -> tuple:
-    """Scale a buffer so its peak sits at peak_dbfs; returns (buffer, gain)."""
+def normalize_peak(buffer: AudioBuffer) -> tuple:
+    """Scale a buffer so its peak sits at OUTPUT_PEAK_DBFS; returns (buffer, gain)."""
     peak = float(np.max(np.abs(buffer.samples)))
     if peak == 0.0:
         return buffer, 1.0
-    gain = 10.0 ** (peak_dbfs / 20.0) / peak
+    gain = 10.0 ** (OUTPUT_PEAK_DBFS / 20.0) / peak
     return AudioBuffer(buffer.samples * gain, buffer.sample_rate), gain

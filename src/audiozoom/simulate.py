@@ -17,45 +17,30 @@ from .dsp import AudioBuffer, fft_convolve
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """Microphone positions in meters; delays are relative to the reference mic."""
+    """Two microphones on the x axis: mic 1 (top, the reference) at the origin,
+    mic 2 at x = spacing_m meters."""
 
-    mic_positions: tuple
-    reference_index: int = 0
+    spacing_m: float
     sound_speed: float = 343.0
 
     def __post_init__(self):
-        positions = tuple(tuple(float(c) for c in p) for p in self.mic_positions)
-        if len(positions) < 2:
-            raise ValueError("at least two microphones required")
-        if any(len(p) != 3 for p in positions):
-            raise ValueError("microphone positions must be 3-D coordinates")
-        if len(set(positions)) != len(positions):
-            raise ValueError("microphone positions must be distinct")
-        if not 0 <= self.reference_index < len(positions):
-            raise ValueError("reference_index out of range")
+        if not np.isfinite(self.spacing_m) or self.spacing_m == 0:
+            raise ValueError("spacing_m must be finite and nonzero")
         if self.sound_speed <= 0:
             raise ValueError("sound_speed must be positive")
-        object.__setattr__(self, "mic_positions", positions)
-
-    @property
-    def mic_count(self) -> int:
-        return len(self.mic_positions)
 
     def delays(self, azimuth_deg: float) -> np.ndarray:
-        """Far-field arrival delay (s) at each mic relative to the reference.
+        """Far-field arrival delay (s) at each mic relative to mic 1.
 
         A mic closer to the source gets a negative delay (earlier arrival).
         """
-        theta = np.deg2rad(azimuth_deg)
-        direction = np.array([np.cos(theta), np.sin(theta), 0.0])
-        positions = np.asarray(self.mic_positions)
-        offsets = positions - positions[self.reference_index]
-        return -(offsets @ direction) / self.sound_speed
+        offset = self.spacing_m * np.cos(np.deg2rad(azimuth_deg))
+        return np.array([-0.0, -offset / self.sound_speed])
 
 
 def two_mic_array(spacing_m: float = 0.10, sound_speed: float = 343.0) -> ArrayGeometry:
-    """Standard pair on the x axis: mic 1 (top, reference) at origin, mic 2 at +spacing."""
-    return ArrayGeometry(((0.0, 0.0, 0.0), (spacing_m, 0.0, 0.0)), 0, sound_speed)
+    """The standard pair, 0.10 m apart by default."""
+    return ArrayGeometry(spacing_m, sound_speed)
 
 
 def steering_vector(
@@ -68,7 +53,10 @@ def steering_vector(
     return np.exp(-2j * np.pi * frequency[..., None] * geometry.delays(azimuth_deg))
 
 
-def _delay_kernel(delay: float, taps: int = 31) -> tuple:
+DELAY_TAPS = 31  # length of the windowed-sinc interpolator (odd)
+
+
+def _delay_kernel(delay: float) -> tuple:
     """(first, kernel) such that y[n] = sum_k kernel[k] * x[n - first - k].
 
     A delay within a nanosample of an integer snaps to it and gets the
@@ -80,9 +68,9 @@ def _delay_kernel(delay: float, taps: int = 31) -> tuple:
     if abs(delay - nearest) < 1e-9:
         return nearest, np.ones(1)
     shift = int(np.floor(delay))
-    half = (taps - 1) // 2
-    t = np.arange(taps) - half - (delay - shift)
-    support = (taps + 1) / 2.0
+    half = (DELAY_TAPS - 1) // 2
+    t = np.arange(DELAY_TAPS) - half - (delay - shift)
+    support = (DELAY_TAPS + 1) / 2.0
     window = 0.42 + 0.5 * np.cos(np.pi * t / support) + 0.08 * np.cos(2.0 * np.pi * t / support)
     kernel = np.sinc(t) * window
     return shift - half, kernel / kernel.sum()
@@ -95,19 +83,17 @@ def _add_shifted(out: np.ndarray, x: np.ndarray, shift: int) -> None:
         out[..., lo:hi] += x[..., lo - shift : hi - shift]
 
 
-def fractional_delay(signal: AudioBuffer, delay_s: float, taps: int = 31) -> AudioBuffer:
+def fractional_delay(signal: AudioBuffer, delay_s: float) -> AudioBuffer:
     """Delay a buffer by a possibly non-integer number of samples.
 
     Uses a windowed-sinc interpolator (symmetric, hence exact group delay in
     its passband); integer delays reduce to an exact shift. Samples shifted
     in from outside the buffer are zero.
     """
-    if taps < 3 or taps % 2 == 0:
-        raise ValueError("taps must be an odd integer >= 3")
     total = delay_s * signal.sample_rate
     if abs(total) >= signal.length:
         raise ValueError("delay exceeds signal length")
-    first, kernel = _delay_kernel(total, taps)
+    first, kernel = _delay_kernel(total)
     out = np.zeros_like(signal.samples)
     if kernel.size == 1:
         _add_shifted(out, signal.samples, first)
@@ -201,7 +187,7 @@ def _source_image(source: SourceSpec, geometry: ArrayGeometry, echo_taps, length
     mono = source.signal.samples[0, :length]
     rate = source.signal.sample_rate
     paths = ((0.0, 1.0),) + tuple(echo_taps)
-    image = np.zeros((geometry.mic_count, length))
+    image = np.zeros((2, length))
     for img, tau in zip(image, geometry.delays(source.azimuth_deg)):
         fractional = []
         for delay, gain in paths:

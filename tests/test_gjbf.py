@@ -1,4 +1,4 @@
-"""Tests for the adaptive beamformer: paths, FDAF, SINR map, length sweep."""
+"""Tests for the adaptive beamformer: paths, FDAF, SINR score, length sweep."""
 
 import os
 import warnings
@@ -15,7 +15,7 @@ from helpers import (
 
 from audiozoom import gjbf
 from audiozoom.blockthresh import residual_variance
-from audiozoom.dsp import AudioBuffer, StftParams, stft
+from audiozoom.dsp import AudioBuffer, Spectrogram, StftParams, stft
 from audiozoom.gjbf import (
     GjbfConfig,
     apply_gjbf,
@@ -24,7 +24,6 @@ from audiozoom.gjbf import (
     fixed_path,
     mean_sinr_db,
     select_filter_length,
-    sinr_map,
 )
 from audiozoom.metrics import osinr_db
 from audiozoom.simulate import (
@@ -110,7 +109,6 @@ class TestFdaf:
             block_size=B,
             leak=leak,
             normalized=False,
-            alignment_delay=L // 2,
         )
         _, _, state = fdaf_gjbf(AudioBuffer(x1, FS), AudioBuffer(x2, FS), config)
 
@@ -230,6 +228,11 @@ class TestFdaf:
         with pytest.raises(ValueError, match="leak"):
             GjbfConfig(leak=1.5)
 
+    def test_alignment_delay_is_half_the_length(self):
+        assert [GjbfConfig(filter_length=L).delay for L in (1, 8, 125, 250)] == [0, 4, 62, 125]
+        with pytest.raises(TypeError, match="alignment_delay"):
+            GjbfConfig(alignment_delay=4)
+
 
 ORACLE_CONFIGS = {
     "default": GjbfConfig(),
@@ -341,32 +344,6 @@ class TestRecordedRun:
                 apply_gjbf(*args)
 
 
-class TestSinrMap:
-    def test_equal_power_gives_zero(self):
-        z = np.full((5, 4), 2.0 + 0j)
-        sigma2 = np.full((5, 4), 4.0)
-        assert np.all(sinr_map(z, sigma2) == 0.0)
-
-    def test_double_power_gives_one(self):
-        z = np.full((5, 4), np.sqrt(2.0) + 0j)
-        sigma2 = np.ones((5, 4))
-        assert np.allclose(sinr_map(z, sigma2), 1.0)
-
-    def test_zero_variance_hits_sentinel(self):
-        z = np.ones((3, 3), dtype=complex)
-        sigma2 = np.zeros((3, 3))
-        assert np.all(sinr_map(z, sigma2) == 1e6)
-
-    def test_negative_excess_floored_at_zero(self):
-        z = np.ones((2, 2), dtype=complex)
-        sigma2 = np.full((2, 2), 5.0)
-        assert np.all(sinr_map(z, sigma2) == 0.0)
-
-    def test_negative_variance_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            sinr_map(np.ones((2, 2), dtype=complex), -np.ones((2, 2)))
-
-
 class TestSelectFilterLength:
     def _scene(self):
         return default_scene(seed=10, duration_s=1.0)
@@ -430,13 +407,19 @@ class TestSelectFilterLength:
         assert not caught
 
     def test_overflowing_power_is_value_error(self):
-        z = np.full((5, 4), 1e200 + 0j)
+        z = Spectrogram(np.full((5, 4), 1e200 + 0j), StftParams(8, 4), FS)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            for score in (mean_sinr_db, sinr_map):
-                with pytest.raises(ValueError, match="input level overflows"):
-                    score(z, np.ones((5, 4)))
+            with pytest.raises(ValueError, match="input level overflows"):
+                mean_sinr_db(z, np.ones((5, 4)))
         assert not caught
+
+    def test_negative_variance_rejected(self):
+        z = Spectrogram(np.ones((5, 4), dtype=complex), StftParams(8, 4), FS)
+        with pytest.raises(ValueError, match="nonnegative"):
+            mean_sinr_db(z, -np.ones((5, 4)))
+        with pytest.raises(ValueError, match="dimensions"):
+            mean_sinr_db(z, np.ones((5, 3)))
 
     def test_mean_sinr_db_matches_manual_aggregation(self):
         scene = self._scene()

@@ -205,6 +205,15 @@ class TestApplyMpdr:
         weights = design_mpdr(s1, s2)
         assert weights.distortionless_error().max() <= 1e-9
 
+    def test_design_steers_to_broadside_only(self):
+        s1, s2 = self._specs(seed=11)
+        weights = design_mpdr(s1, s2)
+        assert np.array_equal(weights.steering, np.ones((s1.bin_count, 2), dtype=complex))
+        with pytest.raises(TypeError, match="steering"):
+            design_mpdr(s1, s2, steering=weights.steering)
+        with pytest.raises(TypeError):
+            design_mpdr(s1, s2, weights.steering)  # alpha is keyword-only
+
 
 class TestAmplitudeRange:
     """MPDR through run_zoom on default_scene(1).mixture scaled by a."""

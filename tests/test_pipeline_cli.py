@@ -12,10 +12,18 @@ from scipy.io import wavfile
 
 from audiozoom import pipeline
 from audiozoom.cli import _write_matrix_csv, main
-from audiozoom.dsp import AudioBuffer, istft
-from audiozoom.gjbf import GjbfConfig
-from audiozoom.metrics import EvalReport
-from audiozoom.pipeline import PipelineConfig, evaluate_scene, frozen_stage, normalize_peak, run_zoom
+from audiozoom.dsp import AudioBuffer, istft, stft
+from audiozoom.gjbf import GjbfConfig, apply_gjbf
+from audiozoom.metrics import EvalReport, decompose_linear
+from audiozoom.mpdr import apply_mpdr
+from audiozoom.pipeline import (
+    DEFAULT_SWEEP_LENGTHS,
+    PipelineConfig,
+    evaluate_scene,
+    frozen_stage,
+    normalize_peak,
+    run_zoom,
+)
 from audiozoom.simulate import echo_taps_for_t60, speech_like
 from audiozoom.wav import read_wav, write_wav
 
@@ -105,16 +113,68 @@ class TestFrozenStage:
         scene = default_scene(seed=24, duration_s=1.0)
         inputs = []
 
-        def counting_frozen_stage(result):
-            stage = frozen_stage(result)
-            return lambda buffer: inputs.append(buffer) or stage(buffer)
+        def counting_decompose_linear(stage, *args, **kwargs):
+            return decompose_linear(lambda buffer: inputs.append(buffer) or stage(buffer), *args, **kwargs)
 
-        monkeypatch.setattr(pipeline, "frozen_stage", counting_frozen_stage)
+        monkeypatch.setattr(pipeline, "decompose_linear", counting_decompose_linear)
         residual = scene.interference_plus_noise
         evaluate_scene(scene.mixture, scene.target_image, residual, PipelineConfig(beamformer=beamformer))
         assert len(inputs) == 2
         assert inputs[0] is scene.target_image
         assert inputs[1] is residual
+
+
+class TestPostFilterScore:
+    """The post-filter stage is scored on waveforms that sum to result.output."""
+
+    @staticmethod
+    def _scene(seed):
+        echo = echo_taps_for_t60(0.3) if seed % 2 else ()
+        return default_scene(seed, duration_s=2.0, echo_taps=echo)
+
+    @pytest.mark.parametrize("beamformer", ["mpdr", "gjbf"])
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_osinr_is_the_time_domain_figure(self, seed, beamformer):
+        scene = self._scene(seed)
+        report, result = evaluate_scene(
+            scene.mixture, scene.target_image, scene.interference_plus_noise,
+            PipelineConfig(beamformer=beamformer),
+        )
+        # The target's share of the spectrogram the post-filter multiplied, built from the run.
+        params = result.config.stft
+        t1, t2 = (scene.target_image.channel(m) for m in range(2))
+        if beamformer == "mpdr":
+            share = apply_mpdr(stft(t1, params), stft(t2, params), result.mpdr_weights)
+        else:
+            share = stft(apply_gjbf(t1, t2, result.gjbf_state, result.gjbf_config_used), params)
+        gained = share.with_coefficients(share.coefficients * result.block_grid.gains)
+        target = istft(gained, length=scene.mixture.length).samples[0]
+        residual = result.output.samples[0] - target
+        want = 10.0 * np.log10(np.sum(target**2) / np.sum(residual**2))
+        assert report.osinr_db == pytest.approx(want, abs=1e-9)
+        assert report.sinr_gain_db == pytest.approx(want - report.input_sinr_db, abs=1e-9)
+
+    # No more transforms than the scorer that gained both parts' spectrograms
+    # made (MPDR 8 stft + 4 istft, GJBF 5 + 1): inverting the gained target
+    # share costs one istft, and the residual's stft is no longer made.
+    @pytest.mark.parametrize("beamformer, budget", [("mpdr", (6, 5)), ("gjbf", (4, 2))])
+    def test_transform_budget(self, monkeypatch, beamformer, budget):
+        scene = self._scene(3)
+        calls = {"stft": 0, "istft": 0}
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(pipeline, "stft", counted("stft", stft))
+        monkeypatch.setattr(pipeline, "istft", counted("istft", istft))
+        evaluate_scene(
+            scene.mixture, scene.target_image, scene.interference_plus_noise,
+            PipelineConfig(beamformer=beamformer),
+        )
+        assert (calls["stft"], calls["istft"]) == budget
 
 
 def _counting_istft(monkeypatch) -> list:
@@ -180,11 +240,18 @@ class TestBeamformedWaveform:
 
     # tracemalloc peak of one run over one beamformed spectrogram's bytes. With
     # the MPDR waveform inverted eagerly and the channel spectra kept to the end
-    # it read 7.6 (mpdr) and 8.6 (gjbf); it reads 5.1 and 6.6 now.
-    @pytest.mark.parametrize("beamformer, bound", [("mpdr", 5.5), ("gjbf", 7.0)])
+    # it read 7.6 (mpdr) and 8.6 (gjbf); it reads 5.1 and 6.6 now. With the
+    # channel spectra built before the length sweep gjbf-auto read about 12;
+    # it reads about 10 now.
+    @pytest.mark.parametrize(
+        "beamformer, bound", [("mpdr", 5.5), ("gjbf", 7.0), ("gjbf-auto", 11.5)]
+    )
     def test_peak_memory_in_spectrogram_sizes(self, beamformer, bound):
         mixture = default_scene(seed=5, duration_s=10.0).mixture
-        config = PipelineConfig(beamformer=beamformer)
+        if beamformer == "gjbf-auto":
+            config = PipelineConfig(beamformer="gjbf", gjbf_auto_lengths=DEFAULT_SWEEP_LENGTHS)
+        else:
+            config = PipelineConfig(beamformer=beamformer)
         run_zoom(mixture, config)  # first-call caches are not the run's memory
         tracemalloc.start()
         try:

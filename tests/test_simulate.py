@@ -50,10 +50,24 @@ class TestSteeringVector:
             assert np.abs(np.abs(v) - 1.0).max() <= 1e-12
 
     def test_geometry_validation(self):
-        with pytest.raises(ValueError, match="two microphones"):
-            ArrayGeometry(((0.0, 0.0, 0.0),))
-        with pytest.raises(ValueError, match="distinct"):
-            ArrayGeometry(((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)))
+        for spacing in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite and nonzero"):
+                ArrayGeometry(spacing)
+        with pytest.raises(ValueError, match="sound_speed"):
+            ArrayGeometry(0.10, sound_speed=0.0)
+        with pytest.raises(TypeError):
+            ArrayGeometry(mic_positions=((0.0, 0.0, 0.0), (0.10, 0.0, 0.0)))
+
+    @pytest.mark.parametrize("spacing", [0.02, 0.10, 0.2137, -0.05])
+    def test_delays_match_the_three_dimensional_model(self, spacing):
+        # The pair as points in space: -(offset . direction) / c, bit for bit and sign bit too.
+        geom = two_mic_array(spacing, 340.0)
+        offsets = np.array([[0.0, 0.0, 0.0], [spacing, 0.0, 0.0]])
+        for azimuth in np.linspace(0.0, 180.0, 2003):
+            theta = np.deg2rad(azimuth)
+            want = -(offsets @ np.array([np.cos(theta), np.sin(theta), 0.0])) / 340.0
+            got = geom.delays(azimuth)
+            assert got.tobytes() == want.tobytes(), azimuth
 
 
 class TestFractionalDelay:
