@@ -15,9 +15,7 @@ from .gjbf import (
     AdaptiveFilterState,
     GjbfConfig,
     apply_gjbf,
-    blocking_path,
     fdaf_gjbf,
-    fixed_path,
     mean_sinr_db,
     select_filter_length,
 )

@@ -317,7 +317,7 @@ def cmd_sweep(args) -> int:
     config = _settings_to_config(_effective_settings(args))
     mixture = _load_stereo(args.input)
     try:
-        best, curve = select_filter_length(
+        best, curve, _, _ = select_filter_length(
             mixture.channel(0), mixture.channel(1), args.lengths, config.gjbf, config.stft
         )
     except RuntimeError as exc:  # every candidate's adaptive filter diverged

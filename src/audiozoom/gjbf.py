@@ -1,14 +1,20 @@
 """Griffiths-Jim beamformer for a broadside target.
 
-Fixed path sums the channels, the blocking path differences them (a
-broadside target cancels exactly), and a frequency-domain adaptive filter
-(overlap-save block LMS) estimates the interference left in the fixed path
-from the blocking-path reference. Output z = fixed - adapted estimate.
+The fixed path is the channel mean, the blocking path their difference (a
+broadside target cancels exactly), and an adaptive filter estimates the
+interference left in the fixed path from the blocking-path reference.
+Output z = fixed - adapted estimate. The filter is constrained block LMS on
+overlap-save frames (Shynk, IEEE SP Magazine 1992), computed in the time
+domain per block: each block makes one convolution for its output and one
+correlation for its gradient. The frequency-domain step normalisation is
+folded into per-block gradient kernels, all made before the loop in one
+batched rfft and irfft.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -30,8 +36,9 @@ class GjbfConfig:
     block_size defaults to filter_length. The fixed path is delayed by
     filter_length // 2 (the delay property) so that the causal filter can
     model the interference path; the output is advanced back.
-    normalized=False freezes the step size (plain block LMS), which is the
-    mode matched by the time-domain reference implementation.
+    normalized=True divides the step per frequency bin by the smoothed
+    reference power; normalized=False freezes it (plain block LMS), which is
+    the mode matched by the time-domain reference implementation.
     """
 
     filter_length: int = 250
@@ -80,33 +87,77 @@ def _paired_mono(ch1: AudioBuffer, ch2: AudioBuffer) -> tuple:
     return ch1.samples[0], ch2.samples[0]
 
 
-def fixed_path(ch1: AudioBuffer, ch2: AudioBuffer) -> AudioBuffer:
-    """Target-preserving path: per-sample channel mean."""
-    x1, x2 = _paired_mono(ch1, ch2)
-    return AudioBuffer(0.5 * (x1 + x2), ch1.sample_rate)
-
-
-def blocking_path(ch1: AudioBuffer, ch2: AudioBuffer) -> AudioBuffer:
-    """Target-rejecting path: channel difference (zero for equal-delay arrivals)."""
-    x1, x2 = _paired_mono(ch1, ch2)
-    return AudioBuffer(x1 - x2, ch1.sample_rate)
+_OVERFLOW = "input level overflows the adaptive filter; scale the input down"
 
 
 def _input_overflow(kind: str, flag: int) -> None:
-    raise ValueError("input level overflows the adaptive filter; scale the input down")
+    raise ValueError(_OVERFLOW)
 
 
 def _overlap_save_frames(ch1: AudioBuffer, ch2: AudioBuffer, config: GjbfConfig) -> tuple:
-    """(desired, spectra, reference): the fixed path delayed and padded to whole
-    blocks, the rfft of each block's reference frame, the unpadded reference."""
+    """(desired, frames, reference): the fixed path delayed and padded to whole
+    blocks, each block's reference frame (rows of a strided view), the
+    unpadded reference (a view of the same padded array)."""
     x1, x2 = _paired_mono(ch1, ch2)
     L, B, delay = config.filter_length, config.block, config.delay
     padded = -(-(x1.size + delay) // B) * B
-    reference = x1 - x2
     # L leading zeros: block k's overlap-save frame is ref_pad[k*B : k*B + L + B].
-    ref_pad = np.pad(reference, (L, padded - x1.size))
+    ref_pad = np.pad(x1 - x2, (L, padded - x1.size))
     desired = np.pad(0.5 * (x1 + x2), (delay, padded - delay - x1.size))
-    return desired, np.fft.rfft(sliding_window_view(ref_pad, L + B)[::B]), reference
+    return desired, sliding_window_view(ref_pad, L + B)[::B], ref_pad[L : L + x1.size]
+
+
+def _gradient_kernels(frames: np.ndarray, reference: np.ndarray, config: GjbfConfig) -> np.ndarray:
+    """Block k's gradient is its error correlated with row k (see _adapt).
+
+    Unnormalised, the row is the reference frame itself. Normalised, it is
+    irfft(S_k / d_k): the frame's spectrum S_k divided per bin by the
+    smoothed block power d_k, all blocks in one batched rfft and irfft.
+    """
+    if not config.normalized:
+        return frames
+    nfft = frames.shape[1]
+    spectra = np.fft.rfft(frames)
+    power = np.abs(spectra) ** 2
+    power[1:] *= 1.0 - POWER_SMOOTHING
+    for k in range(1, len(power)):
+        power[k] += POWER_SMOOTHING * power[k - 1]
+    # Scale-invariant floor: keeps near-silent blocks (or bins) from blowing
+    # up the normalized step while vanishing identically for a zero reference.
+    power += 1e-4 * nfft * float(np.mean(reference**2))
+    power += 1e-300
+    spectra /= power
+    del power
+    return np.fft.irfft(spectra, nfft)
+
+
+def _adapt(desired: np.ndarray, frames: np.ndarray, kernels: np.ndarray, config: GjbfConfig) -> tuple:
+    """The block LMS loop: (estimate, trajectory) from each block's frame and gradient kernel.
+
+    Overlap-save without transforms: block k's frame f and kernel h give
+    output n = sum_j taps[j] f[L+n-j] and gradient lag j = sum_n e[n] h[L+n-j],
+    and L+n-j stays in [1, L+B-1], so no index wraps around the frame and
+    sample 0 is never read.
+    """
+    B = config.block
+    taps = np.zeros(config.filter_length)
+    trajectory = np.zeros((len(frames) + 1, taps.size))
+    estimate = np.empty(desired.size)
+    for k, (frame, kernel) in enumerate(zip(frames[:, 1:], kernels[:, 1:])):
+        block = slice(k * B, (k + 1) * B)
+        block_out = np.convolve(frame, taps, "valid")
+        estimate[block] = block_out
+        error = desired[block] - block_out
+        if config.leak:
+            taps *= 1.0 - config.leak
+        taps += config.step_size * np.correlate(kernel, error, "valid")[::-1]
+        peak = np.abs(taps).max()
+        if not peak <= DIVERGENCE_LIMIT:  # also true for NaN taps
+            if not np.isfinite(peak):  # np.convolve and np.correlate overflow without an FP error
+                raise ValueError(_OVERFLOW)
+            raise RuntimeError("step size too large")
+        trajectory[k + 1] = taps
+    return estimate, trajectory
 
 
 # Only an out-of-range input level can overflow the filter; in-range runs are unaffected.
@@ -119,48 +170,11 @@ def fdaf_gjbf(ch1: AudioBuffer, ch2: AudioBuffer, config: GjbfConfig = GjbfConfi
     taps every block ran with. Raises ValueError when the input level
     overflows the filter's arithmetic and RuntimeError when the taps diverge.
     """
-    desired, spectra, reference = _overlap_save_frames(ch1, ch2, config)
-    L = config.filter_length
-    if reference.size <= 2 * L:
+    desired, frames, reference = _overlap_save_frames(ch1, ch2, config)
+    if reference.size <= 2 * config.filter_length:
         raise ValueError("signals must be longer than twice the filter length")
-    B = config.block
-    nfft = L + B
-
-    # Scale-invariant floor: keeps near-silent blocks (or bins) from blowing
-    # up the normalized step while vanishing identically for a zero reference.
-    power_floor = 1e-4 * nfft * float(np.mean(reference**2))
-    # The reference spectra and their smoothed power do not depend on the
-    # taps, so they are computed for every block before the adaptive loop.
-    if config.normalized:
-        denom = np.abs(spectra) ** 2
-        denom[1:] *= 1.0 - POWER_SMOOTHING
-        for k in range(1, len(denom)):
-            denom[k] += POWER_SMOOTHING * denom[k - 1]
-        denom += power_floor
-        denom += 1e-300
-
-    taps = np.zeros(L)
-    trajectory = np.zeros((len(spectra) + 1, L))
-    err_frame = np.zeros(nfft)
-    estimate = np.zeros(desired.size)
-    for k, spectrum in enumerate(spectra):
-        block = slice(k * B, (k + 1) * B)
-        # Overlap-save: only the last B output samples of the circular product are valid.
-        block_out = np.fft.irfft(spectrum * np.fft.rfft(taps, nfft), nfft)[L:]
-        estimate[block] = block_out
-        np.subtract(desired[block], block_out, out=err_frame[L:])
-
-        grad = np.conj(spectrum) * np.fft.rfft(err_frame)
-        if config.normalized:
-            grad /= denom[k]
-        if config.leak:
-            taps *= 1.0 - config.leak
-        # Keeping the first L lags drops the circular-correlation wraparound.
-        taps += config.step_size * np.fft.irfft(grad, nfft)[:L]
-        if not np.abs(taps).max() <= DIVERGENCE_LIMIT:  # also true for NaN taps
-            raise RuntimeError("step size too large")
-        trajectory[k + 1] = taps
-
+    # The kernels, as large as the reference spectra, are freed once the loop ends.
+    estimate, trajectory = _adapt(desired, frames, _gradient_kernels(frames, reference, config), config)
     z = desired - estimate
     crop, rate = slice(config.delay, config.delay + ch1.length), ch1.sample_rate
     return AudioBuffer(z[crop], rate), AudioBuffer(estimate[crop], rate), AdaptiveFilterState(trajectory)
@@ -172,14 +186,14 @@ def apply_gjbf(
     """Replay a run of fdaf_gjbf, with the config it ran with, on another
     channel pair of the same length: block k is filtered with the taps block
     k ran with, all blocks in one overlap-save pass. The map is exactly
-    linear, and on the run's own input it gives the run's z.
+    linear, and on the run's own input it gives the run's z to rounding.
     """
-    desired, spectra, _ = _overlap_save_frames(ch1, ch2, config)
+    desired, frames, _ = _overlap_save_frames(ch1, ch2, config)
     L = config.filter_length
-    if state.trajectory.shape != (len(spectra) + 1, L):
+    if state.trajectory.shape != (len(frames) + 1, L):
         raise ValueError("filter state does not match the input length and config")
     nfft = L + config.block
-    estimate = np.fft.irfft(spectra * np.fft.rfft(state.trajectory[:-1], nfft), nfft)[:, L:]
+    estimate = np.fft.irfft(np.fft.rfft(frames) * np.fft.rfft(state.trajectory[:-1], nfft), nfft)[:, L:]
     z = desired - estimate.ravel()
     return AudioBuffer(z[config.delay : config.delay + ch1.length], ch1.sample_rate)
 
@@ -216,9 +230,10 @@ def select_filter_length(
 
     Each candidate is run with block size and alignment derived from its own
     length; the score is mean_sinr_db of the output against the residual
-    variance estimated from that output. Returns (best_length, curve) where
-    curve lists (length, sinr_db) per candidate in input order; ties go to
-    the smaller length.
+    variance estimated from that output. Returns (best_length, curve, z,
+    state): curve lists (length, sinr_db) per candidate in input order, ties
+    go to the smaller length, and z and state are the winning run's output
+    and AdaptiveFilterState, as fdaf_gjbf returns them for that length.
     """
     candidates = [int(c) for c in candidates]
     if len(candidates) < 2:
@@ -227,12 +242,21 @@ def select_filter_length(
     y1 = stft(ch1, stft_params)
     y2 = stft(ch2, stft_params)
 
+    winner = None  # ((-score, length), z, state) of the best run so far; the others are dropped
+    lock = threading.Lock()
+
     def run(length: int) -> float:
+        nonlocal winner
         trial = replace(config, filter_length=length, block_size=None)
-        z, _, _ = fdaf_gjbf(ch1, ch2, trial)
-        z_spec = stft(z, stft_params)
-        sigma2 = residual_variance(y1, y2, z_spec)
-        return mean_sinr_db(z_spec, sigma2)
+        z, state = fdaf_gjbf(ch1, ch2, trial)[::2]  # y_b is not held through the scoring
+        # One candidate scores at a time: its temporaries are the largest in the sweep.
+        with lock:
+            z_spec = stft(z, stft_params)
+            score = mean_sinr_db(z_spec, residual_variance(y1, y2, z_spec))
+            del z_spec
+            if winner is None or (-score, length) < winner[0]:
+                winner = (-score, length), z, state
+        return score
 
     curve = []
     failures = []
@@ -247,5 +271,5 @@ def select_filter_length(
         raise RuntimeError(f"all candidate lengths failed: {failures[0][1]}") from failures[0][1]
     for length, exc in failures:
         warnings.warn(f"filter length {length} skipped: {exc}", stacklevel=2)
-    best = min(curve, key=lambda item: (-item[1], item[0]))[0]
-    return best, curve
+    (_, best), z, state = winner
+    return best, curve, z, state

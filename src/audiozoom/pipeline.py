@@ -89,11 +89,12 @@ def run_zoom(mixture: AudioBuffer, config: PipelineConfig = PipelineConfig()) ->
     else:
         gjbf_used = config.gjbf
         if config.gjbf_auto_lengths:
-            best, curve = select_filter_length(
+            best, curve, beamformed, state = select_filter_length(
                 ch1, ch2, config.gjbf_auto_lengths, gjbf_used, config.stft
             )
             gjbf_used = replace(gjbf_used, filter_length=best, block_size=None)
-        beamformed, _, state = fdaf_gjbf(ch1, ch2, gjbf_used)
+        else:
+            beamformed, _, state = fdaf_gjbf(ch1, ch2, gjbf_used)
         z_spec = stft(beamformed, config.stft)
         # Only residual_variance reads the channel spectra: not alive in the sweep or filter.
         y1 = stft(ch1, config.stft)

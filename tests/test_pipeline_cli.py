@@ -10,10 +10,10 @@ import pytest
 from helpers import FS, block_threshold_reference, default_scene, run_zoom_reference
 from scipy.io import wavfile
 
-from audiozoom import pipeline
+from audiozoom import gjbf, pipeline
 from audiozoom.cli import _write_matrix_csv, main
 from audiozoom.dsp import AudioBuffer, istft, stft
-from audiozoom.gjbf import GjbfConfig, apply_gjbf
+from audiozoom.gjbf import GjbfConfig, apply_gjbf, fdaf_gjbf
 from audiozoom.metrics import EvalReport, decompose_linear
 from audiozoom.mpdr import apply_mpdr
 from audiozoom.pipeline import (
@@ -58,6 +58,26 @@ class TestRunZoom:
         assert result.sweep_curve is not None and len(result.sweep_curve) == 3
         best = min(result.sweep_curve, key=lambda lv: (-lv[1], lv[0]))[0]
         assert result.gjbf_config_used.filter_length == best
+
+    @pytest.mark.parametrize("lengths", [(32, 64), (50, 100, 150, 200, 250, 300)])
+    def test_auto_length_runs_each_candidate_once(self, monkeypatch, lengths):
+        # The sweep hands its winning run to run_zoom, which filters no more.
+        scene = default_scene(seed=24, duration_s=1.0)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2].filter_length)
+            return fdaf_gjbf(*args, **kwargs)
+
+        monkeypatch.setattr(gjbf, "fdaf_gjbf", counted)
+        monkeypatch.setattr(pipeline, "fdaf_gjbf", counted)
+        auto = run_zoom(scene.mixture, PipelineConfig(beamformer="gjbf", gjbf_auto_lengths=lengths))
+        assert sorted(calls) == sorted(lengths)
+        fixed = run_zoom(scene.mixture, PipelineConfig(beamformer="gjbf", gjbf=auto.gjbf_config_used))
+        assert len(calls) == len(lengths) + 1
+        assert np.array_equal(auto.output.samples, fixed.output.samples)
+        assert np.array_equal(auto.beamformed.samples, fixed.beamformed.samples)
+        assert np.array_equal(auto.gjbf_state.trajectory, fixed.gjbf_state.trajectory)
 
     def test_report_gain_identity(self):
         scene = default_scene(seed=23, duration_s=1.0)
