@@ -16,7 +16,7 @@ import numpy as np
 
 from .dsp import WINDOW_KINDS, AudioBuffer
 from .gjbf import select_filter_length
-from .metrics import EvalReport, build_report, mse_db, osinr_db, project_onto_reference
+from .metrics import MAX_SHIFT, EvalReport, build_report, mse_db, osinr_db, project_onto_reference
 from .pipeline import BEAMFORMERS, DEFAULT_SWEEP_LENGTHS, PipelineConfig, normalize_peak, run_zoom
 from .simulate import (
     MixtureSpec,
@@ -353,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     evalp.add_argument("target_image", help="2-channel target image WAV")
     evalp.add_argument("interference_image", help="2-channel interference(+noise) image WAV")
     evalp.add_argument("--report", help="append a CSV row to this file")
-    evalp.add_argument("--max-shift", type=_nonnegative_int, default=512, dest="max_shift")
+    evalp.add_argument("--max-shift", type=_nonnegative_int, default=MAX_SHIFT, dest="max_shift")
     evalp.set_defaults(func=cmd_eval)
 
     sweep = sub.add_parser("sweep", help="sweep adaptive filter lengths")

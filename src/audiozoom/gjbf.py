@@ -13,8 +13,6 @@ batched rfft and irfft.
 
 from __future__ import annotations
 
-import os
-import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -68,9 +66,11 @@ class GjbfConfig:
 
 @dataclass
 class AdaptiveFilterState:
-    """Taps of a run, (n_blocks + 1, L): row k is what block k filtered with, then the final taps."""
+    """A run's taps, (n_blocks + 1, L): row k is what block k filtered with, then
+    the final taps; and the GjbfConfig the run used, which apply_gjbf replays."""
 
     trajectory: np.ndarray
+    config: GjbfConfig
 
     @property
     def taps(self) -> np.ndarray:
@@ -120,6 +120,7 @@ def _gradient_kernels(frames: np.ndarray, reference: np.ndarray, config: GjbfCon
     spectra = np.fft.rfft(frames)
     power = np.abs(spectra) ** 2
     power[1:] *= 1.0 - POWER_SMOOTHING
+    # scipy.signal.lfilter gives the same bits faster, but importing it costs ~1 s and ~54 MB RSS.
     for k in range(1, len(power)):
         power[k] += POWER_SMOOTHING * power[k - 1]
     # Scale-invariant floor: keeps near-silent blocks (or bins) from blowing
@@ -167,7 +168,7 @@ def fdaf_gjbf(ch1: AudioBuffer, ch2: AudioBuffer, config: GjbfConfig = GjbfConfi
 
     Returns (z, y_b, state): the enhanced output and the adapted
     interference estimate, both re-aligned to the input timebase, plus the
-    taps every block ran with. Raises ValueError when the input level
+    taps every block ran with and the run's config. Raises ValueError when the input level
     overflows the filter's arithmetic and RuntimeError when the taps diverge.
     """
     desired, frames, reference = _overlap_save_frames(ch1, ch2, config)
@@ -175,23 +176,22 @@ def fdaf_gjbf(ch1: AudioBuffer, ch2: AudioBuffer, config: GjbfConfig = GjbfConfi
         raise ValueError("signals must be longer than twice the filter length")
     # The kernels, as large as the reference spectra, are freed once the loop ends.
     estimate, trajectory = _adapt(desired, frames, _gradient_kernels(frames, reference, config), config)
-    z = desired - estimate
     crop, rate = slice(config.delay, config.delay + ch1.length), ch1.sample_rate
-    return AudioBuffer(z[crop], rate), AudioBuffer(estimate[crop], rate), AdaptiveFilterState(trajectory)
+    z = AudioBuffer((desired - estimate)[crop], rate)
+    return z, AudioBuffer(estimate[crop], rate), AdaptiveFilterState(trajectory, config)
 
 
-def apply_gjbf(
-    ch1: AudioBuffer, ch2: AudioBuffer, state: AdaptiveFilterState, config: GjbfConfig = GjbfConfig()
-) -> AudioBuffer:
+def apply_gjbf(ch1: AudioBuffer, ch2: AudioBuffer, state: AdaptiveFilterState) -> AudioBuffer:
     """Replay a run of fdaf_gjbf, with the config it ran with, on another
     channel pair of the same length: block k is filtered with the taps block
     k ran with, all blocks in one overlap-save pass. The map is exactly
     linear, and on the run's own input it gives the run's z to rounding.
     """
+    config = state.config
     desired, frames, _ = _overlap_save_frames(ch1, ch2, config)
     L = config.filter_length
     if state.trajectory.shape != (len(frames) + 1, L):
-        raise ValueError("filter state does not match the input length and config")
+        raise ValueError("filter state does not match the input length")
     nfft = L + config.block
     estimate = np.fft.irfft(np.fft.rfft(frames) * np.fft.rfft(state.trajectory[:-1], nfft), nfft)[:, L:]
     z = desired - estimate.ravel()
@@ -228,14 +228,15 @@ def select_filter_length(
 ) -> tuple:
     """Sweep candidate filter lengths and keep the one with the best output SINR.
 
-    Each candidate is run with block size and alignment derived from its own
-    length; the score is mean_sinr_db of the output against the residual
-    variance estimated from that output. Returns (best_length, curve, z,
-    state): curve lists (length, sinr_db) per candidate in input order, ties
-    go to the smaller length, and z and state are the winning run's output
-    and AdaptiveFilterState, as fdaf_gjbf returns them for that length.
+    Duplicates are dropped; each candidate runs in turn, with block size and
+    alignment derived from its own length, and scores mean_sinr_db of its
+    output against the residual variance estimated from that output. Returns
+    (best_length, curve, z, state): curve lists (length, sinr_db) per
+    candidate in input order, ties go to the smaller length, and z and state
+    are the winning run's output and AdaptiveFilterState, as fdaf_gjbf
+    returns them for that length.
     """
-    candidates = [int(c) for c in candidates]
+    candidates = list(dict.fromkeys(int(c) for c in candidates))
     if len(candidates) < 2:
         raise ValueError("need at least two candidate lengths")
 
@@ -243,24 +244,21 @@ def select_filter_length(
     y2 = stft(ch2, stft_params)
 
     winner = None  # ((-score, length), z, state) of the best run so far; the others are dropped
-    lock = threading.Lock()
 
     def run(length: int) -> float:
         nonlocal winner
         trial = replace(config, filter_length=length, block_size=None)
         z, state = fdaf_gjbf(ch1, ch2, trial)[::2]  # y_b is not held through the scoring
-        # One candidate scores at a time: its temporaries are the largest in the sweep.
-        with lock:
-            z_spec = stft(z, stft_params)
-            score = mean_sinr_db(z_spec, residual_variance(y1, y2, z_spec))
-            del z_spec
-            if winner is None or (-score, length) < winner[0]:
-                winner = (-score, length), z, state
+        z_spec = stft(z, stft_params)
+        score = mean_sinr_db(z_spec, residual_variance(y1, y2, z_spec))
+        if winner is None or (-score, length) < winner[0]:
+            winner = (-score, length), z, state
         return score
 
     curve = []
     failures = []
-    with ThreadPoolExecutor(max_workers=min(4, os.cpu_count() or 1, len(candidates))) as pool:
+    # One worker, in input order, so winner needs no lock; kept only for perfbench's tracer patch.
+    with ThreadPoolExecutor(max_workers=1) as pool:
         futures = [pool.submit(run, length) for length in candidates]
         for length, future in zip(candidates, futures):
             try:

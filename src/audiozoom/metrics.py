@@ -14,6 +14,7 @@ import numpy as np
 from .dsp import AudioBuffer, Spectrogram, fast_fft_length
 
 DB_CAP = 200.0
+MAX_SHIFT = 512  # default alignment search range, in samples, each way
 
 
 def _values(x) -> np.ndarray:
@@ -43,7 +44,7 @@ def osinr_db(target, residual) -> float:
     return float(np.clip(10.0 * np.log10(p_target / p_residual), -DB_CAP, DB_CAP))
 
 
-def align_delay_and_scale(estimate: np.ndarray, reference: np.ndarray, max_shift: int = 512):
+def align_delay_and_scale(estimate: np.ndarray, reference: np.ndarray, max_shift: int = MAX_SHIFT):
     """Best integer delay (cross-correlation peak) and least-squares gain.
 
     Returns (aligned_estimate, shift, gain) with aligned_estimate[n] =
@@ -77,7 +78,7 @@ def _overlap(n: int, shift: int) -> tuple:
     return max(0, -shift), min(n, n - shift)
 
 
-def mse_db(estimate: AudioBuffer, reference: AudioBuffer, max_shift: int = 512) -> float:
+def mse_db(estimate: AudioBuffer, reference: AudioBuffer, max_shift: int = MAX_SHIFT) -> float:
     """Normalized error power in dB after global delay-and-scale alignment.
 
     Scored over the overlap region of the aligned pair, so a pure delay
@@ -168,7 +169,7 @@ def build_report(input_sinr: float, final_osinr: float, final_mse: float, **stag
     )
 
 
-def project_onto_reference(estimate: AudioBuffer, reference: AudioBuffer, max_shift: int = 512):
+def project_onto_reference(estimate: AudioBuffer, reference: AudioBuffer, max_shift: int = MAX_SHIFT):
     """Split an estimate into a reference-shaped component and the remainder.
 
     The reference is delay-and-scale fitted to the estimate; the fitted part

@@ -6,7 +6,7 @@ frozen stages on ground-truth images, to score it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,7 +54,6 @@ class ZoomResult:
     block_grid: BlockGrid | None
     mpdr_weights: MpdrWeights | None
     gjbf_state: AdaptiveFilterState | None
-    gjbf_config_used: GjbfConfig | None
     sweep_curve: list | None
     config: PipelineConfig
     _beamformed: AudioBuffer | None = field(default=None, repr=False)
@@ -64,6 +63,11 @@ class ZoomResult:
         if self._beamformed is None:
             self._beamformed = istft(self.beamformed_spec, length=self.output.length)
         return self._beamformed
+
+    @property
+    def gjbf_config_used(self) -> GjbfConfig | None:
+        """The GjbfConfig the GJBF run used (the sweep's pick included); None for MPDR."""
+        return None if self.gjbf_state is None else self.gjbf_state.config
 
 
 def _split_channels(mixture: AudioBuffer) -> tuple:
@@ -78,7 +82,6 @@ def run_zoom(mixture: AudioBuffer, config: PipelineConfig = PipelineConfig()) ->
 
     weights = None
     state = None
-    gjbf_used = None
     curve = None
     beamformed = None
     if config.beamformer == "mpdr":
@@ -87,14 +90,12 @@ def run_zoom(mixture: AudioBuffer, config: PipelineConfig = PipelineConfig()) ->
         weights = design_mpdr(y1, y2, alpha=config.mpdr_alpha)
         z_spec = apply_mpdr(y1, y2, weights)
     else:
-        gjbf_used = config.gjbf
         if config.gjbf_auto_lengths:
-            best, curve, beamformed, state = select_filter_length(
-                ch1, ch2, config.gjbf_auto_lengths, gjbf_used, config.stft
+            _, curve, beamformed, state = select_filter_length(
+                ch1, ch2, config.gjbf_auto_lengths, config.gjbf, config.stft
             )
-            gjbf_used = replace(gjbf_used, filter_length=best, block_size=None)
         else:
-            beamformed, _, state = fdaf_gjbf(ch1, ch2, gjbf_used)
+            beamformed, _, state = fdaf_gjbf(ch1, ch2, config.gjbf)
         z_spec = stft(beamformed, config.stft)
         # Only residual_variance reads the channel spectra: not alive in the sweep or filter.
         y1 = stft(ch1, config.stft)
@@ -120,7 +121,6 @@ def run_zoom(mixture: AudioBuffer, config: PipelineConfig = PipelineConfig()) ->
         block_grid=block_grid,
         mpdr_weights=weights,
         gjbf_state=state,
-        gjbf_config_used=gjbf_used,
         sweep_curve=curve,
         config=config,
         _beamformed=beamformed,
@@ -153,7 +153,7 @@ def frozen_stage(result: ZoomResult):
 
     def stage(buffer: AudioBuffer) -> AudioBuffer:
         a, b = _split_channels(buffer)
-        return apply_gjbf(a, b, result.gjbf_state, result.gjbf_config_used)
+        return apply_gjbf(a, b, result.gjbf_state)
 
     return stage
 

@@ -11,12 +11,14 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
 from helpers import default_scene
 
 from audiozoom import pipeline
 from audiozoom.pipeline import PipelineConfig
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+SWEEP_LENGTHS = (32, 64)
 
 
 def _load_spans():
@@ -39,7 +41,9 @@ def test_traced_names_resolve():
     assert callable(getattr(importlib.import_module("audiozoom.gjbf"), "ThreadPoolExecutor", None))
 
 
-def test_traced_ops_nest_and_count_macro_blocks():
+@pytest.fixture(scope="module")
+def traced_ops():
+    """(spans module, tracer, mpdr result, gjbf-auto result) of three traced operations."""
     spans = _load_spans()
     scene = default_scene(seed=1, duration_s=0.5)
     tracer = spans.Tracer()
@@ -50,7 +54,7 @@ def test_traced_ops_nest_and_count_macro_blocks():
         gjbf = tracer.run_op(
             pipeline.run_zoom,
             scene.mixture,
-            PipelineConfig(beamformer="gjbf", gjbf_auto_lengths=(32, 64)),
+            PipelineConfig(beamformer="gjbf", gjbf_auto_lengths=SWEEP_LENGTHS),
         )
         tracer.run_op(
             pipeline.evaluate_scene,
@@ -61,6 +65,11 @@ def test_traced_ops_nest_and_count_macro_blocks():
         )
     finally:
         tracer.remove()
+    return spans, tracer, mpdr, gjbf
+
+
+def test_traced_ops_nest_and_count_macro_blocks(traced_ops):
+    spans, tracer, mpdr, gjbf = traced_ops
     assert spans.unresolved_parents(tracer.spans) == []
     assert len(tracer.op_ids) == 3
     names = {span.name for span in tracer.spans}
@@ -73,6 +82,17 @@ def test_traced_ops_nest_and_count_macro_blocks():
     assert gjbf.beamformed_spec.coefficients.shape == (bins, frames)
     metrics = spans.layer_metrics(tracer.spans, tracer.op_ids)
     assert metrics["blockthresh.block_threshold_gains.macro_blocks"] == want
+
+
+def test_traced_sweep_spans(traced_ops):
+    # Mirrors the benchmark self-test's sweep check: one fdaf_gjbf span per
+    # candidate under the sweep, each off the sweep's thread; and none overlap.
+    _, tracer, _, _ = traced_ops
+    (sweep,) = [s for s in tracer.spans if s.name == "gjbf.select_filter_length"]
+    runs = sorted((s for s in tracer.spans if s.name == "gjbf.fdaf_gjbf"), key=lambda s: s.start)
+    assert len(runs) == len(SWEEP_LENGTHS)
+    assert all(s.parent_id == sweep.span_id and s.thread != sweep.thread for s in runs)
+    assert all(a.end <= b.start for a, b in zip(runs, runs[1:]))
 
 
 def test_traced_mpdr_zoom_counts_transforms():

@@ -1,6 +1,7 @@
 """Tests for the adaptive beamformer: paths, FDAF, SINR score, length sweep."""
 
 import os
+import time
 import warnings
 
 import numpy as np
@@ -152,7 +153,7 @@ class TestFdaf:
 
         # Decomposition against ground-truth images by replaying the run.
         def frozen(image):
-            return apply_gjbf(image.channel(0), image.channel(1), state, config).samples[0]
+            return apply_gjbf(image.channel(0), image.channel(1), state).samples[0]
 
         t_out = frozen(scene.target_image)
         r_out = frozen(scene.interference_plus_noise)
@@ -345,18 +346,20 @@ class TestRecordedRun:
         for got_row, want_row in zip(state.trajectory[1:], want):
             assert np.abs(got_row - want_row).max() <= 1e-6 * np.abs(want_row).max()
 
+    def test_state_carries_its_config(self):
+        x1, x2 = (white_noise_buffer(3000, seed) for seed in (27, 28))
+        config = GjbfConfig(filter_length=64, block_size=48, leak=0.01)
+        z, _, state = fdaf_gjbf(x1, x2, config)
+        assert state.config is config
+        replay = apply_gjbf(x1, x2, state).samples
+        assert np.abs(replay - z.samples).max() <= 1e-12 * np.abs(z.samples).max()
+
     def test_mismatched_state_rejected(self):
         x1, x2 = (white_noise_buffer(3000, seed) for seed in (25, 26))
-        config = GjbfConfig(filter_length=64)
-        _, _, state = fdaf_gjbf(x1, x2, config)
+        _, _, state = fdaf_gjbf(x1, x2, GjbfConfig(filter_length=64))
         short = [AudioBuffer(x.samples[0, :2000], FS) for x in (x1, x2)]
-        for args in (
-            (*short, state, config),
-            (x1, x2, state, GjbfConfig(filter_length=32)),
-            (x1, x2, state, GjbfConfig(filter_length=64, block_size=16)),
-        ):
-            with pytest.raises(ValueError, match="does not match"):
-                apply_gjbf(*args)
+        with pytest.raises(ValueError, match="does not match"):
+            apply_gjbf(*short, state)
 
 
 class TestSelectFilterLength:
@@ -421,6 +424,25 @@ class TestSelectFilterLength:
         with pytest.raises(ValueError, match="two candidate"):
             select_filter_length(x, x, [64], GjbfConfig())
 
+    def test_duplicate_candidates_run_once(self, monkeypatch):
+        scene = self._scene()
+        ch1, ch2 = scene.mixture.channel(0), scene.mixture.channel(1)
+        with pytest.raises(ValueError, match="two candidate"):
+            select_filter_length(ch1, ch2, [64, 64])
+        once = select_filter_length(ch1, ch2, [96, 32])
+        runs = []
+        real = gjbf.fdaf_gjbf
+
+        def counted(*args):
+            runs.append(args[2].filter_length)
+            return real(*args)
+
+        monkeypatch.setattr(gjbf, "fdaf_gjbf", counted)
+        best, curve, z, _ = select_filter_length(ch1, ch2, [96, 32, 96, 32])
+        assert runs == [96, 32]
+        assert (best, curve) == once[:2]
+        assert np.array_equal(z.samples, once[2].samples)
+
     def test_overflowing_output_fails_without_warnings(self):
         # At 1e153 some lengths' FDAF runs finish; their residual variance overflows.
         mixture = default_scene(seed=1).mixture
@@ -483,7 +505,7 @@ class TestSelectFilterLength:
                 warnings.simplefilter("always")
                 best, curve, z, state = select_filter_length(ch1, ch2, (9000, 50, 8500, 100))
                 results[cpus] = (best, curve, z.samples.tobytes(), state.trajectory.tobytes())
-            assert workers == [min(4, cpus)]
+            assert workers == [1]
             assert [str(w.message) for w in caught] == [
                 f"filter length {length} skipped: "
                 "signals must be longer than twice the filter length"
@@ -491,3 +513,23 @@ class TestSelectFilterLength:
             ]
         assert results[1] == results[2] == results[8]
         assert [length for length, _ in results[1][1]] == [50, 100]
+
+    def test_candidates_run_one_at_a_time(self, monkeypatch):
+        scene = self._scene()
+        ch1, ch2 = scene.mixture.channel(0), scene.mixture.channel(1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)  # more CPUs must not widen the sweep
+        spans = []
+        real = gjbf.fdaf_gjbf
+
+        def timed(*args):
+            start = time.perf_counter()
+            try:
+                return real(*args)
+            finally:
+                spans.append((start, time.perf_counter(), args[2].filter_length))
+
+        monkeypatch.setattr(gjbf, "fdaf_gjbf", timed)
+        select_filter_length(ch1, ch2, [32, 64, 96, 128])
+        assert [length for _, _, length in spans] == [32, 64, 96, 128]
+        for (_, end, _), (start, _, _) in zip(spans, spans[1:]):
+            assert end <= start

@@ -166,7 +166,7 @@ class TestPostFilterScore:
         if beamformer == "mpdr":
             share = apply_mpdr(stft(t1, params), stft(t2, params), result.mpdr_weights)
         else:
-            share = stft(apply_gjbf(t1, t2, result.gjbf_state, result.gjbf_config_used), params)
+            share = stft(apply_gjbf(t1, t2, result.gjbf_state), params)
         gained = share.with_coefficients(share.coefficients * result.block_grid.gains)
         target = istft(gained, length=scene.mixture.length).samples[0]
         residual = result.output.samples[0] - target
@@ -262,9 +262,10 @@ class TestBeamformedWaveform:
     # the MPDR waveform inverted eagerly and the channel spectra kept to the end
     # it read 7.6 (mpdr) and 8.6 (gjbf); it reads 5.1 and 6.6 now. With the
     # channel spectra built before the length sweep gjbf-auto read about 12;
-    # it reads about 10 now.
+    # with the candidates on a pool of up to four threads it read 10.3, and
+    # run one at a time it reads 7.3.
     @pytest.mark.parametrize(
-        "beamformer, bound", [("mpdr", 5.5), ("gjbf", 7.0), ("gjbf-auto", 11.5)]
+        "beamformer, bound", [("mpdr", 5.5), ("gjbf", 7.0), ("gjbf-auto", 8.0)]
     )
     def test_peak_memory_in_spectrogram_sizes(self, beamformer, bound):
         mixture = default_scene(seed=5, duration_s=10.0).mixture
