@@ -4,7 +4,6 @@ from .blockthresh import (
     BlockGrid,
     BlockThresholdParams,
     Tiling,
-    apply_block_threshold,
     attenuation_factor,
     block_threshold_gains,
     enumerate_partitions,

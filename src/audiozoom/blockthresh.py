@@ -16,6 +16,8 @@ from .dsp import Spectrogram
 
 SNR_CAP = 1e6
 VARIANCE_FLOOR_FACTOR = 1e-12
+# Frames per column block of residual_variance: its two chunk buffers stay in cache.
+CHUNK_FRAMES = 64
 
 
 @dataclass(frozen=True)
@@ -98,19 +100,31 @@ def residual_variance(y1: Spectrogram, y2: Spectrogram, z: Spectrogram) -> np.nd
     shapes = {y1.coefficients.shape, y2.coefficients.shape, z.coefficients.shape}
     if len(shapes) != 1:
         raise ValueError("spectrogram dimensions must match")
-    # |.|^2 squares the magnitude in place (x **= 2 is x*x, the same bits as
-    # np.abs(d) ** 2), and the second channel reuses the first's difference.
+    bins, frames = z.coefficients.shape
+    # Column blocks of the (F-ordered) spectrograms through two reused chunk
+    # buffers, so no whole-grid temporary is faulted in. |.|^2 squares the
+    # magnitude in place (x **= 2 is x*x, the same bits as np.abs(d) ** 2).
+    sigma2 = np.empty((bins, frames), order="F")
+    diff = np.empty((bins, CHUNK_FRAMES), dtype=np.complex128, order="F")
+    square = np.empty((bins, CHUNK_FRAMES), order="F")
     with np.errstate(over="ignore"):
-        diff = y1.coefficients - z.coefficients
-        sigma2 = np.abs(diff)
-        sigma2 **= 2
-        np.subtract(y2.coefficients, z.coefficients, out=diff)
-        square = np.abs(diff)
-        square **= 2
-        sigma2 += square
-        sigma2 *= 0.5
-    if not np.all(np.isfinite(sigma2)):
-        raise ValueError("input level overflows the residual variance; scale the input down")
+        for start in range(0, frames, CHUNK_FRAMES):
+            cols = slice(start, min(start + CHUNK_FRAMES, frames))
+            out = sigma2[:, cols]
+            d = diff[:, : out.shape[1]]
+            s = square[:, : out.shape[1]]
+            np.subtract(y1.coefficients[:, cols], z.coefficients[:, cols], out=d)
+            np.abs(d, out=out)
+            out **= 2
+            np.subtract(y2.coefficients[:, cols], z.coefficients[:, cols], out=d)
+            np.abs(d, out=s)
+            s **= 2
+            out += s
+            out *= 0.5
+            if not np.all(np.isfinite(out)):
+                raise ValueError(
+                    "input level overflows the residual variance; scale the input down"
+                )
     return sigma2
 
 
@@ -135,16 +149,6 @@ def _tile(stack: np.ndarray, tiling: Tiling) -> np.ndarray:
     )
 
 
-def _stack_snr(power: np.ndarray, sigma2: np.ndarray, tiling: Tiling, floor: float) -> np.ndarray:
-    # Sub-block SNRs of every macro-block in a (n_b, MB, n_t, MF) stack, shaped (n_b, kb, n_t, kt).
-    # A sub-block whose mean variance sits below the floor gets the SNR_CAP sentinel (clean signal).
-    mean_power = _tile(power, tiling).mean(axis=(2, 5))
-    mean_var = _tile(sigma2, tiling).mean(axis=(2, 5))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        snr = np.clip(mean_power / mean_var - 1.0, 0.0, SNR_CAP)
-    return np.where(mean_var < floor, SNR_CAP, snr)
-
-
 def attenuation_factor(snr):
     """Oracle gain 1 - 1/(snr + 1), clipped into [0, 1]."""
     snr = np.asarray(snr, dtype=np.float64)
@@ -155,34 +159,63 @@ def attenuation_factor(snr):
     return float(gain) if gain.ndim == 0 else gain
 
 
+def _block_means(stack: np.ndarray, tilings: list) -> list:
+    # Sub-block means of a (n_b, MB, n_t, MF) stack for each tiling, shaped (n_b, kb, n_t, kt).
+    # Every extent is a power of two, so one pyramid of pairwise bin sums serves
+    # all tilings (each level is dropped once built upon), the frames are halved
+    # per tiling, and the division by the cell count is exact: equal cells give
+    # equal means at every shape.
+    means = [None] * len(tilings)
+    level, sub_bins = stack, 1
+    for index in sorted(range(len(tilings)), key=lambda i: tilings[i].sub_bins):
+        tiling = tilings[index]
+        while sub_bins < tiling.sub_bins:
+            level = level[:, 0::2] + level[:, 1::2]
+            sub_bins *= 2
+        block = level
+        for _ in range(tiling.sub_frames.bit_length() - 1):
+            block = block[..., 0::2] + block[..., 1::2]
+        means[index] = block / tiling.cells
+    return means
+
+
 def _choose_tilings(power, sigma2, tilings, snr_threshold, floor, gains) -> np.ndarray:
     """Best tiling of every macro-block in a (n_b, MB, n_t, MF) stack, all blocks at once.
 
     The tilings are scanned in the given order; a block moves to a later one
     only when it has more above-threshold sub-blocks, or as many with a larger
-    mean SNR among them. The chosen sub-block gains are written into gains, a
-    view of the same shape. Returns each block's index into tilings, (n_b, n_t).
+    mean SNR among them. A sub-block whose mean variance sits below the floor
+    gets the SNR_CAP sentinel (clean signal). The chosen sub-block gains are
+    written into gains, a view of the same shape, once per cell. Returns each
+    block's index into tilings, (n_b, n_t).
     """
     shape = (power.shape[0], power.shape[2])
     best = np.zeros(shape, dtype=np.intp)
     best_count = np.full(shape, -1)
     best_mean = np.full(shape, -np.inf)
-    for index, tiling in enumerate(tilings):
-        snr = _stack_snr(power, sigma2, tiling, floor)
-        above = snr > snr_threshold
-        count = above.sum(axis=(1, 3))
-        total = np.where(above, snr, 0.0).sum(axis=(1, 3))
+    snrs = []
+    for index, (mean_power, mean_var) in enumerate(
+        zip(_block_means(power, tilings), _block_means(sigma2, tilings))
+    ):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            snr = np.clip(mean_power / mean_var - 1.0, 0.0, SNR_CAP)
+        snr[mean_var < floor] = SNR_CAP
+        snrs.append(snr)
+        # Each block's sub-blocks in one contiguous row: every tiling of a region
+        # sums as many in the same order, so equal SNRs tie exactly.
+        row = np.ascontiguousarray(snr.transpose(0, 2, 1, 3)).reshape(shape + (-1,))
+        above = row > snr_threshold
+        count = above.sum(axis=2)
+        total = np.where(above, row, 0.0).sum(axis=2)
         with np.errstate(divide="ignore", invalid="ignore"):
             mean = np.where(count > 0, total / count, -np.inf)
         better = (count > best_count) | ((count == best_count) & (mean > best_mean))
         best[better] = index
         best_count = np.where(better, count, best_count)
         best_mean = np.where(better, mean, best_mean)
-        np.copyto(
-            _tile(gains, tiling),
-            attenuation_factor(snr)[:, :, None, :, :, None],
-            where=better[:, None, None, :, None, None],
-        )
+    for index, (tiling, snr) in enumerate(zip(tilings, snrs)):
+        ib, it = np.nonzero(best == index)
+        _tile(gains, tiling)[ib, :, :, it] = attenuation_factor(snr[ib, :, it])[:, :, None, :, None]
     return best
 
 
@@ -278,13 +311,3 @@ def block_threshold_gains(
             choices["v"][blocks_b, blocks_t] = np.array([t.v for t in tilings])[index]
             choices["levels"][blocks_b, blocks_t] = h
     return BlockGrid(params=params, gains=gains, choices=choices.ravel())
-
-
-def apply_block_threshold(
-    z: Spectrogram,
-    sigma2: np.ndarray,
-    params: BlockThresholdParams = BlockThresholdParams(),
-) -> Spectrogram:
-    """Attenuate the spectrogram with per-sub-block gains; never amplifies."""
-    grid = block_threshold_gains(z, sigma2, params)
-    return z.with_coefficients(z.coefficients * grid.gains)

@@ -1,5 +1,6 @@
 """Tests for residual variance, tiling enumeration, and block thresholding."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,10 +9,10 @@ from helpers import FS, block_threshold_reference, default_scene
 
 from audiozoom import blockthresh
 from audiozoom.blockthresh import (
+    CHUNK_FRAMES,
     SNR_CAP,
     BlockThresholdParams,
     _feasible_levels,
-    apply_block_threshold,
     attenuation_factor,
     block_threshold_gains,
     enumerate_partitions,
@@ -56,6 +57,44 @@ class TestResidualVariance:
         d1 = np.abs(y1.coefficients - z.coefficients) ** 2
         d2 = np.abs(y2.coefficients - z.coefficients) ** 2
         assert np.array_equal(residual_variance(y1, y2, z), 0.5 * (d1 + d2))
+
+    def _f_ordered(self, seed, frames, bins=257):
+        # Three (bins, frames) grids laid out as stft returns them, frames outermost.
+        rng = np.random.default_rng(seed)
+        shape = (frames, bins)
+        mk = lambda: (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).T
+        return _spec(mk(), 2 * (bins - 1)), _spec(mk(), 2 * (bins - 1)), _spec(mk(), 2 * (bins - 1))
+
+    # 3749 frames is 60 s at the default STFT.
+    @pytest.mark.parametrize("frames", [1, CHUNK_FRAMES - 1, CHUNK_FRAMES, CHUNK_FRAMES + 1, 3749])
+    def test_matches_formula_across_chunk_edges(self, frames):
+        y1, y2, z = self._f_ordered(frames, frames)
+        d1 = np.abs(y1.coefficients - z.coefficients) ** 2
+        d2 = np.abs(y2.coefficients - z.coefficients) ** 2
+        assert np.array_equal(residual_variance(y1, y2, z), 0.5 * (d1 + d2))
+
+    def test_overflow_in_last_chunk_is_value_error(self):
+        y1, y2, z = self._f_ordered(6, 2 * CHUNK_FRAMES + 5)
+        loud = y1.coefficients.copy()
+        loud[:, -1] *= 1e200
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="input level overflows the residual variance"):
+                residual_variance(y1.with_coefficients(loud), y2, z)
+        assert not caught
+
+    def test_peak_memory_in_output_sizes(self):
+        # tracemalloc peak over the output's bytes on a 10 s grid (624 frames at
+        # the default STFT). Whole-grid temporaries read 4.13; the chunk buffers
+        # read 1.32.
+        y1, y2, z = self._f_ordered(7, 624)
+        tracemalloc.start()
+        try:
+            sigma2 = residual_variance(y1, y2, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * sigma2.nbytes
 
     @pytest.mark.parametrize("a", [1e154, 1e200])
     def test_overflow_is_value_error(self, a):
@@ -272,8 +311,8 @@ class TestApplyBlockThreshold:
     def test_floored_variance_passes_signal_through(self):
         spec, _ = self._random_spec(8)
         sigma2 = np.zeros(spec.coefficients.shape)
-        out = apply_block_threshold(spec, sigma2)
-        rel = np.abs(out.coefficients - spec.coefficients) / np.abs(spec.coefficients)
+        out = spec.coefficients * block_threshold_gains(spec, sigma2).gains
+        rel = np.abs(out - spec.coefficients) / np.abs(spec.coefficients)
         assert rel.max() <= 1e-6
 
     def test_power_is_squared_magnitude_exactly(self, monkeypatch):
@@ -300,24 +339,24 @@ class TestApplyBlockThreshold:
             rng.standard_normal((bins, frames)) + 1j * rng.standard_normal((bins, frames))
         )
         spec = Spectrogram(noise, StftParams(128, 64, "sqrt_hann"), FS)
-        out = apply_block_threshold(spec, sigma2)
+        out = spec.coefficients * block_threshold_gains(spec, sigma2).gains
         energy_in = np.sum(np.abs(spec.coefficients) ** 2)
-        energy_out = np.sum(np.abs(out.coefficients) ** 2)
+        energy_out = np.sum(np.abs(out) ** 2)
         assert energy_out <= 0.05 * energy_in
 
     def test_contraction_on_random_inputs(self):
         for seed in range(20):
             spec, rng = self._random_spec(100 + seed)
             sigma2 = rng.uniform(0.0, 3.0, spec.coefficients.shape)
-            out = apply_block_threshold(spec, sigma2)
-            assert np.all(np.abs(out.coefficients) <= np.abs(spec.coefficients) + 1e-15)
+            out = spec.coefficients * block_threshold_gains(spec, sigma2).gains
+            assert np.all(np.abs(out) <= np.abs(spec.coefficients) + 1e-15)
 
     def test_idempotent_direction(self):
         spec, rng = self._random_spec(10)
         sigma2 = rng.uniform(0.1, 2.0, spec.coefficients.shape)
-        once = apply_block_threshold(spec, sigma2)
-        twice = apply_block_threshold(once, sigma2)
-        assert np.all(np.abs(twice.coefficients) <= np.abs(once.coefficients) + 1e-15)
+        once = spec.coefficients * block_threshold_gains(spec, sigma2).gains
+        twice = once * block_threshold_gains(once, sigma2).gains
+        assert np.all(np.abs(twice) <= np.abs(once) + 1e-15)
 
     def test_gains_and_choices_cover_grid(self):
         spec, rng = self._random_spec(11)
@@ -380,8 +419,9 @@ ORACLE_PARAMS = [
 ]
 # (bins, frames). With 16-bin x 8-frame macro-blocks, 257x101 has all four
 # regions, 65x24 the interior and bottom strip, 33x7 the right strip and
-# corner, 5x3 and 1x1 only a corner.
-ORACLE_GRIDS = [(65, 24), (33, 7), (5, 3), (1, 1), (257, 101)]
+# corner, 5x3 and 1x1 only a corner; 257x1001 has all four at scale, with a
+# one-frame right strip at the default 8-frame macro-block.
+ORACLE_GRIDS = [(65, 24), (33, 7), (5, 3), (1, 1), (257, 101), (257, 1001)]
 
 
 def _params_id(params):
@@ -417,6 +457,15 @@ class TestBatchedMatchesReference:
         z = rng.standard_normal((bins, frames)) + 1j * rng.standard_normal((bins, frames))
         sigma2 = rng.uniform(0.0, 3.0, (bins, frames))
         _assert_matches_reference(z, sigma2, params)
+
+    @pytest.mark.parametrize("params", ORACLE_PARAMS, ids=_params_id)
+    @pytest.mark.parametrize("power, variance", [(0.3, 0.1), (0.7, 0.3)])
+    def test_constant_grid_ties_to_first_tiling(self, power, variance, params):
+        # Every tiling of a constant grid has the same sub-block SNRs: an exact
+        # tie, which every macro-block breaks to v=0 at a non-dyadic level too.
+        z = np.full((257, 101), np.sqrt(power), dtype=complex)
+        grid = block_threshold_gains(z, np.full(z.shape, variance), params)
+        assert np.all(grid.choices["v"] == 0)
 
     @pytest.mark.parametrize("params", ORACLE_PARAMS, ids=_params_id)
     def test_zero_variance_half(self, params):
