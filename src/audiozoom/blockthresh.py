@@ -12,12 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import Spectrogram
+from .dsp import CHUNK_FRAMES, Spectrogram
 
 SNR_CAP = 1e6
 VARIANCE_FLOOR_FACTOR = 1e-12
-# Frames per column block of residual_variance: its two chunk buffers stay in cache.
-CHUNK_FRAMES = 64
 
 
 @dataclass(frozen=True)
@@ -105,8 +103,8 @@ def residual_variance(y1: Spectrogram, y2: Spectrogram, z: Spectrogram) -> np.nd
     # buffers, so no whole-grid temporary is faulted in. |.|^2 squares the
     # magnitude in place (x **= 2 is x*x, the same bits as np.abs(d) ** 2).
     sigma2 = np.empty((bins, frames), order="F")
-    diff = np.empty((bins, CHUNK_FRAMES), dtype=np.complex128, order="F")
-    square = np.empty((bins, CHUNK_FRAMES), order="F")
+    diff = np.empty((bins, min(CHUNK_FRAMES, frames)), dtype=np.complex128, order="F")
+    square = np.empty((bins, min(CHUNK_FRAMES, frames)), order="F")
     with np.errstate(over="ignore"):
         for start in range(0, frames, CHUNK_FRAMES):
             cols = slice(start, min(start + CHUNK_FRAMES, frames))

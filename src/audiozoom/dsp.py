@@ -8,6 +8,10 @@ from dataclasses import dataclass
 import numpy as np
 
 WINDOW_KINDS = ("hann", "sqrt_hann", "rect")
+# Frames per reused chunk buffer of the STFT, the iSTFT and the per-cell
+# passes over a spectrogram: the work streams through a buffer that stays in
+# cache, and no grid-sized temporary is faulted in.
+CHUNK_FRAMES = 64
 
 
 def make_window(kind: str, length: int) -> np.ndarray:
@@ -131,30 +135,44 @@ def stft(signal: AudioBuffer, params: StftParams = StftParams()) -> Spectrogram:
     frame, hop = params.frame_length, params.hop_length
     if x.size < frame:
         raise ValueError("insufficient samples: signal shorter than one frame")
-    # Last frame is zero-padded so every input sample is analyzed.
+    # Last frame is zero-padded so every input sample is analyzed; it is the
+    # only frame that runs past the signal.
     n_frames = 1 + -(-(x.size - frame) // hop)
-    padded = np.zeros((n_frames - 1) * hop + frame)
-    padded[: x.size] = x
+    inside = np.lib.stride_tricks.sliding_window_view(x, frame)[::hop]
     window = make_window(params.window, frame)
-    frames = np.lib.stride_tricks.sliding_window_view(padded, frame)[::hop] * window
-    return Spectrogram(np.fft.rfft(frames, axis=1).T, params, signal.sample_rate)
+    # Windowed frames go through one reused chunk buffer; each chunk's rfft
+    # writes its rows of the (frames, bins) result, returned transposed.
+    coeffs = np.empty((n_frames, params.bin_count), dtype=np.complex128)
+    chunk = np.empty((min(CHUNK_FRAMES, n_frames), frame))
+    for start in range(0, n_frames, CHUNK_FRAMES):
+        stop = min(start + CHUNK_FRAMES, n_frames)
+        block = chunk[: stop - start]
+        whole = inside[start:stop]
+        np.multiply(whole, window, out=block[: len(whole)])
+        if len(whole) < len(block):
+            rest = x[(n_frames - 1) * hop :]
+            block[-1] = 0.0
+            np.multiply(rest, window[: rest.size], out=block[-1, : rest.size])
+        np.fft.rfft(block, axis=1, out=coeffs[start:stop])
+    return Spectrogram(coeffs.T, params, signal.sample_rate)
 
 
-def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
-    # Sum of (n, frame) rows placed hop apart, as frame // hop strided adds of
-    # hop-wide slices; each output sample collects its frames in frame order.
+def _overlap_add(frames: np.ndarray, out: np.ndarray) -> None:
+    # Adds (n, frame) rows placed hop apart into out, shaped (n + frame // hop - 1,
+    # hop) or longer, as frame // hop strided adds of hop-wide slices; each
+    # output sample collects its frames in frame order.
     n_frames, frame = frames.shape
-    parts = frame // hop
-    out = np.zeros((n_frames + parts - 1, hop))
-    pieces = frames.reshape(n_frames, parts, hop)
-    for r in reversed(range(parts)):
+    hop = out.shape[1]
+    pieces = frames.reshape(n_frames, frame // hop, hop)
+    for r in reversed(range(frame // hop)):
         out[r : r + n_frames] += pieces[:, r]
-    return out.reshape(-1)
 
 
 def _synthesis_envelope(window: np.ndarray, hop: int, n_frames: int) -> np.ndarray:
     wsq = window * window
-    return _overlap_add(np.broadcast_to(wsq, (n_frames, wsq.size)), hop)
+    env = np.zeros((n_frames + wsq.size // hop - 1, hop))
+    _overlap_add(np.broadcast_to(wsq, (n_frames, wsq.size)), env)
+    return env.reshape(-1)
 
 
 @functools.cache
@@ -185,11 +203,29 @@ def istft(spec: Spectrogram, length: int | None = None) -> AudioBuffer:
     if n_frames == 0:
         out = np.zeros(0 if length is None else length)
         return AudioBuffer(out, spec.sample_rate)
-    frames = np.fft.irfft(spec.coefficients.T, n=frame, axis=1)
-    frames *= window
-    out = _overlap_add(frames, hop)
-    env = _synthesis_envelope(window, hop, n_frames)
-    np.divide(out, env, out=out, where=env > 1e-12 * env.max())
+    parts = frame // hop
+    out = np.zeros((n_frames + parts - 1, hop))
+    coeffs = spec.coefficients.T
+    chunk = np.empty((min(CHUNK_FRAMES, n_frames), frame))
+    for start in range(0, n_frames, CHUNK_FRAMES):
+        stop = min(start + CHUNK_FRAMES, n_frames)
+        block = chunk[: stop - start]
+        np.fft.irfft(coeffs[start:stop], n=frame, axis=1, out=block)
+        block *= window
+        _overlap_add(block, out[start:])
+    # Between its first and last parts-1 rows the envelope repeats one row, so
+    # the envelope of min(n_frames, parts) frames holds each distinct row once:
+    # the head rows, the interior row and the tail rows.
+    head = min(n_frames, parts)
+    env = _synthesis_envelope(window, hop, head).reshape(-1, hop)
+    live = env > 1e-12 * env.max()
+    for rows, env_rows in (
+        (slice(0, head - 1), slice(0, head - 1)),
+        (slice(head - 1, n_frames), head - 1),
+        (slice(n_frames, None), slice(head, None)),
+    ):
+        np.divide(out[rows], env[env_rows], out=out[rows], where=live[env_rows])
+    out = out.reshape(-1)
     if length is not None:
         if length <= out.size:
             out = out[:length]

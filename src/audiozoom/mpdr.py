@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import Spectrogram
+from .dsp import CHUNK_FRAMES, Spectrogram
 
 LOADING_FACTOR = 1e-2
 
@@ -115,6 +115,16 @@ def apply_mpdr(spec_ch1: Spectrogram, spec_ch2: Spectrogram, weights: MpdrWeight
     if weights.weights.shape[0] != y1.shape[0]:
         raise ValueError("weights do not match the spectrogram bin count")
     w = weights.weights.conj()
-    out = np.einsum("f,fk->fk", w[:, 0], y1)
-    out += np.einsum("f,fk->fk", w[:, 1], y2)
+    # Column chunks of the (F-ordered) result, the second channel's terms
+    # through one reused chunk buffer.
+    bins, frames = y1.shape
+    out = np.empty((bins, frames), dtype=np.complex128, order="F")
+    second = np.empty((bins, min(CHUNK_FRAMES, frames)), dtype=np.complex128, order="F")
+    for start in range(0, frames, CHUNK_FRAMES):
+        cols = slice(start, min(start + CHUNK_FRAMES, frames))
+        chunk = out[:, cols]
+        terms = second[:, : chunk.shape[1]]
+        np.einsum("f,fk->fk", w[:, 0], y1[:, cols], out=chunk)
+        np.einsum("f,fk->fk", w[:, 1], y2[:, cols], out=terms)
+        chunk += terms
     return spec_ch1.with_coefficients(out)

@@ -128,7 +128,7 @@ def block_threshold_reference(z, sigma2, params=BlockThresholdParams()):
 
     Scans the grid macro-block by macro-block, scores every tiling of each
     block separately and keeps the best by (above-threshold count, mean SNR
-    above threshold), ties to the smaller v. Serves as the oracle for the
+    above threshold), exact ties to the smaller v. Serves as the oracle for the
     batched implementation.
     """
     coeffs = getattr(z, "coefficients", z)
@@ -138,9 +138,16 @@ def block_threshold_reference(z, sigma2, params=BlockThresholdParams()):
     floor = variance_floor(power)
 
     def block_means(values, tiling):
+        # Exact pairwise halving, bins then frames, as the library sums: equal
+        # cells give equal means at every sub-block shape, so ties stay exact.
         b, f = values.shape
         sb, st = tiling.sub_bins, tiling.sub_frames
-        return values.reshape(b // sb, sb, f // st, st).mean(axis=(1, 3))
+        sums = values.reshape(b // sb, sb, f // st, st)
+        while sums.shape[1] > 1:
+            sums = sums[:, 0::2] + sums[:, 1::2]
+        while sums.shape[3] > 1:
+            sums = sums[..., 0::2] + sums[..., 1::2]
+        return sums[:, 0, :, 0] / tiling.cells
 
     gains = np.ones_like(power)
     choices = []
@@ -228,6 +235,16 @@ def istft_reference(spec, length=None):
         else:
             out = np.concatenate([out, np.zeros(length - out.size)])
     return AudioBuffer(out, spec.sample_rate)
+
+
+def apply_mpdr_reference(spec_ch1, spec_ch2, weights):
+    """Whole-grid form of mpdr.apply_mpdr: one einsum per channel over every
+    frame at once, the second added into the first. Returns the coefficients;
+    serves as the oracle for the chunked form."""
+    w = weights.weights.conj()
+    out = np.einsum("f,fk->fk", w[:, 0], spec_ch1.coefficients)
+    out += np.einsum("f,fk->fk", w[:, 1], spec_ch2.coefficients)
+    return out
 
 
 def mpdr_weights_reference(matrix, steering, alpha):

@@ -9,7 +9,6 @@ from helpers import FS, block_threshold_reference, default_scene
 
 from audiozoom import blockthresh
 from audiozoom.blockthresh import (
-    CHUNK_FRAMES,
     SNR_CAP,
     BlockThresholdParams,
     _feasible_levels,
@@ -18,7 +17,7 @@ from audiozoom.blockthresh import (
     enumerate_partitions,
     residual_variance,
 )
-from audiozoom.dsp import AudioBuffer, Spectrogram, StftParams, stft
+from audiozoom.dsp import CHUNK_FRAMES, AudioBuffer, Spectrogram, StftParams, stft
 from audiozoom.mpdr import apply_mpdr, design_mpdr
 from audiozoom.pipeline import PipelineConfig, run_zoom
 from audiozoom.simulate import echo_taps_for_t60
@@ -462,10 +461,13 @@ class TestBatchedMatchesReference:
     @pytest.mark.parametrize("power, variance", [(0.3, 0.1), (0.7, 0.3)])
     def test_constant_grid_ties_to_first_tiling(self, power, variance, params):
         # Every tiling of a constant grid has the same sub-block SNRs: an exact
-        # tie, which every macro-block breaks to v=0 at a non-dyadic level too.
+        # tie, which every macro-block breaks to v=0 at a non-dyadic level too,
+        # and so does the oracle, whose means also come from pairwise halving.
         z = np.full((257, 101), np.sqrt(power), dtype=complex)
-        grid = block_threshold_gains(z, np.full(z.shape, variance), params)
+        sigma2 = np.full(z.shape, variance)
+        grid = block_threshold_gains(z, sigma2, params)
         assert np.all(grid.choices["v"] == 0)
+        _assert_same_grid(grid, block_threshold_reference(z, sigma2, params))
 
     @pytest.mark.parametrize("params", ORACLE_PARAMS, ids=_params_id)
     def test_zero_variance_half(self, params):

@@ -1,10 +1,13 @@
 """Tests for STFT analysis/synthesis and FFT convolution."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from helpers import istft_reference
 
 from audiozoom.dsp import (
+    CHUNK_FRAMES,
     AudioBuffer,
     Spectrogram,
     StftParams,
@@ -19,6 +22,23 @@ from audiozoom.dsp import (
 
 def _interior(a, b, margin):
     return a[margin:-margin], b[margin:-margin]
+
+
+def _size_for_frames(frame, hop, frames, tail):
+    # Samples that make exactly `frames` frames; with a tail the last frame
+    # misses half a hop and is zero-padded.
+    size = (frames - 1) * hop + frame - (hop // 2 if tail else 0)
+    assert 1 + -(-(size - frame) // hop) == frames
+    return size
+
+
+# Sizes whose frame counts sit on both sides of one and two chunk edges, as
+# (frames, whether the last frame is zero-padded).
+CHUNK_EDGE_SIZES = [
+    pytest.param((frames, tail), id=f"{frames}frames" + ("+tail" if tail else ""))
+    for frames in (CHUNK_FRAMES - 1, CHUNK_FRAMES, CHUNK_FRAMES + 1, 2 * CHUNK_FRAMES + 1)
+    for tail in (False, True)
+]
 
 
 class TestParams:
@@ -165,12 +185,30 @@ ISTFT_CONFIGS = [
 
 class TestIstftMatchesReference:
     @pytest.mark.parametrize("frame, hop, window", ISTFT_CONFIGS)
-    @pytest.mark.parametrize("size", ["frame", "frame+1", "3frame+7", "16000"])
+    @pytest.mark.parametrize("size", ["frame", "frame+1", "3frame+7", "16000", *CHUNK_EDGE_SIZES])
     def test_bit_identical(self, frame, hop, window, size):
-        n = {"frame": frame, "frame+1": frame + 1, "3frame+7": 3 * frame + 7, "16000": 16000}[size]
+        if isinstance(size, tuple):
+            n = _size_for_frames(frame, hop, *size)
+        else:
+            n = {"frame": frame, "frame+1": frame + 1, "3frame+7": 3 * frame + 7, "16000": 16000}[size]
         x = np.random.default_rng(n + frame + hop).standard_normal(n)
         spec = stft(AudioBuffer(x, 16000), StftParams(frame, hop, window))
         assert np.array_equal(istft(spec).samples, istft_reference(spec).samples)
+
+    def test_peak_memory_in_output_sizes(self):
+        # tracemalloc peak over the output's bytes, 10 s at the default STFT
+        # (624 frames). The whole-grid irfft frame stack and envelope read 4.13;
+        # the chunk buffer reads 1.34.
+        x = np.random.default_rng(4).standard_normal(160000)
+        spec = stft(AudioBuffer(x, 16000))
+        istft(spec, length=x.size)  # first-call caches are not the call's memory
+        tracemalloc.start()
+        try:
+            out = istft(spec, length=x.size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * out.samples.nbytes
 
     @pytest.mark.parametrize("frame, hop, window", ISTFT_CONFIGS)
     @pytest.mark.parametrize("delta", [-5, 100])
@@ -208,11 +246,13 @@ class TestStftMatchesGather:
     @pytest.mark.parametrize(
         "params", [StftParams(), StftParams(256, 64, "hann"), StftParams(64, 64, "rect")]
     )
-    @pytest.mark.parametrize("size", [512, 4001, 16000])
+    @pytest.mark.parametrize("size", [512, 4001, 16000, *CHUNK_EDGE_SIZES])
     def test_bit_identical(self, params, size):
         # Oracle: index-array gather of every frame from the zero-padded signal.
-        x = np.random.default_rng(size).standard_normal(size)
         frame, hop = params.frame_length, params.hop_length
+        if isinstance(size, tuple):
+            size = _size_for_frames(frame, hop, *size)
+        x = np.random.default_rng(size).standard_normal(size)
         starts = hop * np.arange(1 + -(-(size - frame) // hop))
         padded = np.zeros(starts[-1] + frame)
         padded[:size] = x
@@ -220,7 +260,22 @@ class TestStftMatchesGather:
         frames *= make_window(params.window, frame)
         want = np.fft.rfft(frames, axis=1).T
         got = stft(AudioBuffer(x, 16000), params).coefficients
+        assert got.flags.f_contiguous
         assert np.array_equal(got, want)
+
+    def test_peak_memory_in_output_sizes(self):
+        # tracemalloc peak over the output's bytes, 10 s at the default STFT
+        # (624 frames). The zero-padded copy and the windowed frame stack read
+        # 2.50; the chunk buffer reads 1.16.
+        signal = AudioBuffer(np.random.default_rng(3).standard_normal(160000), 16000)
+        stft(signal)
+        tracemalloc.start()
+        try:
+            spec = stft(signal)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * spec.coefficients.nbytes
 
 
 class TestFastFftLength:

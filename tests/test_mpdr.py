@@ -4,10 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
-from helpers import default_scene, mpdr_weights_reference
+from helpers import apply_mpdr_reference, default_scene, mpdr_weights_reference
 
 from audiozoom import mpdr
-from audiozoom.dsp import AudioBuffer, StftParams, stft
+from audiozoom.dsp import CHUNK_FRAMES, AudioBuffer, StftParams, Spectrogram, stft
 from audiozoom.mpdr import (
     LOADING_FACTOR,
     apply_mpdr,
@@ -213,6 +213,22 @@ class TestApplyMpdr:
             design_mpdr(s1, s2, steering=weights.steering)
         with pytest.raises(TypeError):
             design_mpdr(s1, s2, weights.steering)  # alpha is keyword-only
+
+
+class TestApplyMatchesReference:
+    @pytest.mark.parametrize("order", ["F", "C"])
+    @pytest.mark.parametrize(
+        "frames", [1, CHUNK_FRAMES - 1, CHUNK_FRAMES, CHUNK_FRAMES + 1, 2 * CHUNK_FRAMES + 1]
+    )
+    def test_bit_identical_across_chunk_edges(self, frames, order):
+        parts = np.random.default_rng(frames).standard_normal((2, 2, 257, frames))
+        specs = [
+            Spectrogram(np.asarray(re + 1j * im, order=order), StftParams(), FS) for re, im in parts
+        ]
+        weights = design_mpdr(*specs)
+        got = apply_mpdr(*specs, weights).coefficients
+        assert got.flags.f_contiguous
+        assert np.array_equal(got, apply_mpdr_reference(*specs, weights))
 
 
 class TestAmplitudeRange:

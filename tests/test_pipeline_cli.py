@@ -260,12 +260,13 @@ class TestBeamformedWaveform:
 
     # tracemalloc peak of one run over one beamformed spectrogram's bytes. With
     # the MPDR waveform inverted eagerly and the channel spectra kept to the end
-    # it read 7.6 (mpdr) and 8.6 (gjbf); it reads 5.1 and 6.6 now. With the
-    # channel spectra built before the length sweep gjbf-auto read about 12;
-    # with the candidates on a pool of up to four threads it read 10.3, and
-    # run one at a time it reads 7.3.
+    # it read 7.6 (mpdr) and 8.6 (gjbf); then 5.1 and 6.6, and with the STFT,
+    # the iSTFT and the MPDR apply working through one chunk buffer each it
+    # reads 3.7 and 5.2. With the channel spectra built before the length sweep
+    # gjbf-auto read about 12; with the candidates on a pool of up to four
+    # threads it read 10.3, and run one at a time it reads 7.3.
     @pytest.mark.parametrize(
-        "beamformer, bound", [("mpdr", 5.5), ("gjbf", 7.0), ("gjbf-auto", 8.0)]
+        "beamformer, bound", [("mpdr", 4.0), ("gjbf", 5.5), ("gjbf-auto", 8.0)]
     )
     def test_peak_memory_in_spectrogram_sizes(self, beamformer, bound):
         mixture = default_scene(seed=5, duration_s=10.0).mixture
