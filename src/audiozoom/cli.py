@@ -318,13 +318,13 @@ def cmd_sweep(args) -> int:
     mixture = _load_stereo(args.input)
     try:
         best, curve, _, _ = select_filter_length(
-            mixture.channel(0), mixture.channel(1), args.lengths, config.gjbf, config.stft
+            mixture.channel(0), mixture.channel(1), args.lengths, config.gjbf
         )
     except RuntimeError as exc:  # every candidate's adaptive filter diverged
         raise DataError(str(exc)) from exc
     out_path = args.out or "sweep.csv"
     with open(out_path, "w", encoding="utf-8") as handle:
-        handle.write("length,mean_sinr_db\n")
+        handle.write("length,power_reduction_db\n")
         for length, value in curve:
             handle.write(f"{length},{value:.6f}\n")
     print(f"wrote {out_path}")

@@ -20,8 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .blockthresh import SNR_CAP, residual_variance, variance_floor
-from .dsp import AudioBuffer, Spectrogram, StftParams, stft
+from .blockthresh import SNR_CAP, variance_floor
+from .dsp import AudioBuffer, Spectrogram
 
 POWER_SMOOTHING = 0.9  # per-block forgetting factor of the normalizing power estimate
 DIVERGENCE_LIMIT = 1e6  # largest tap magnitude before the run counts as diverged
@@ -219,38 +219,53 @@ def mean_sinr_db(z: Spectrogram, sigma2: np.ndarray) -> float:
     return float(np.mean(10.0 * np.log10(1.0 + ratio)))
 
 
+def _power_score_db(fixed_power: float, z: np.ndarray) -> float:
+    """10*log10(fixed_power / ||z||^2): how far a run brought the output power
+    below the fixed path's. Equal powers, silent input included, score 0;
+    a zero power on one side only scores +-inf."""
+    with np.errstate(over="ignore"):  # an overflowed power is rejected below
+        power = float(np.dot(z, z))
+    if not (np.isfinite(power) and np.isfinite(fixed_power)):
+        raise ValueError("input level overflows the output power; scale the input down")
+    if power == fixed_power:
+        return 0.0
+    with np.errstate(divide="ignore"):
+        return float(10.0 * (np.log10(fixed_power) - np.log10(power)))
+
+
 def select_filter_length(
     ch1: AudioBuffer,
     ch2: AudioBuffer,
     candidates,
     config: GjbfConfig = GjbfConfig(),
-    stft_params: StftParams = StftParams(),
 ) -> tuple:
-    """Sweep candidate filter lengths and keep the one with the best output SINR.
+    """Sweep candidate filter lengths and keep the one with the least output power.
 
     Duplicates are dropped; each candidate runs in turn, with block size and
-    alignment derived from its own length, and scores mean_sinr_db of its
-    output against the residual variance estimated from that output. Returns
-    (best_length, curve, z, state): curve lists (length, sinr_db) per
-    candidate in input order, ties go to the smaller length, and z and state
-    are the winning run's output and AdaptiveFilterState, as fdaf_gjbf
-    returns them for that length.
+    alignment derived from its own length, and scores its output power
+    against the fixed path's, in dB (higher is better), the quantity the
+    adaptive path minimises. Returns (best_length, curve, z, state): curve
+    lists (length, score_db) per candidate in input order, ties go to the
+    smaller length, and z and state are the winning run's output and
+    AdaptiveFilterState, as fdaf_gjbf returns them for that length.
     """
     candidates = list(dict.fromkeys(int(c) for c in candidates))
     if len(candidates) < 2:
         raise ValueError("need at least two candidate lengths")
 
-    y1 = stft(ch1, stft_params)
-    y2 = stft(ch2, stft_params)
+    x1, x2 = _paired_mono(ch1, ch2)
+    with np.errstate(over="ignore"):  # each candidate rejects an overflowed power
+        fixed = 0.5 * (x1 + x2)
+        fixed_power = float(np.dot(fixed, fixed))
+    del fixed
 
     winner = None  # ((-score, length), z, state) of the best run so far; the others are dropped
 
     def run(length: int) -> float:
         nonlocal winner
         trial = replace(config, filter_length=length, block_size=None)
-        z, state = fdaf_gjbf(ch1, ch2, trial)[::2]  # y_b is not held through the scoring
-        z_spec = stft(z, stft_params)
-        score = mean_sinr_db(z_spec, residual_variance(y1, y2, z_spec))
+        z, state = fdaf_gjbf(ch1, ch2, trial)[::2]
+        score = _power_score_db(fixed_power, z.samples[0])
         if winner is None or (-score, length) < winner[0]:
             winner = (-score, length), z, state
         return score

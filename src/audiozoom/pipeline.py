@@ -92,7 +92,7 @@ def run_zoom(mixture: AudioBuffer, config: PipelineConfig = PipelineConfig()) ->
     else:
         if config.gjbf_auto_lengths:
             _, curve, beamformed, state = select_filter_length(
-                ch1, ch2, config.gjbf_auto_lengths, config.gjbf, config.stft
+                ch1, ch2, config.gjbf_auto_lengths, config.gjbf
             )
         else:
             beamformed, _, state = fdaf_gjbf(ch1, ch2, config.gjbf)

@@ -275,17 +275,18 @@ class TestFdafMatchesReference:
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_sweep_matches_reference(self):
+        # Each candidate scores 10*log10(||fixed path||^2 / ||z||^2). The oracle's z
+        # agrees within 1e-12 of its peak, so the dB scores agree within 1e-9.
         ch1, ch2 = _oracle_scene(seed=3, duration_s=2.0)
         lengths = (32, 64, 100, 150, 250, 400)
         best, curve, _, _ = select_filter_length(ch1, ch2, lengths)
-        y1, y2 = stft(ch1), stft(ch2)
+        fixed = 0.5 * (ch1.samples[0] + ch2.samples[0])
         want = []
         for length in lengths:
             z, _, _ = fdaf_gjbf_reference(
                 ch1.samples[0], ch2.samples[0], GjbfConfig(filter_length=length)
             )
-            z_spec = stft(AudioBuffer(z, FS))
-            want.append((length, mean_sinr_db(z_spec, residual_variance(y1, y2, z_spec))))
+            want.append((length, 10.0 * np.log10(np.sum(fixed**2) / np.sum(z**2))))
         assert [length for length, _ in curve] == list(lengths)
         assert np.abs(np.array(curve) - np.array(want))[:, 1].max() <= 1e-9
         assert best == min(want, key=lambda item: (-item[1], item[0]))[0]
@@ -409,6 +410,14 @@ class TestSelectFilterLength:
         assert len(set(values)) == 1
         assert best == 48
 
+    def test_silent_input_ties_to_smallest_length(self):
+        # Silent channels: every output is silent, so every power ratio is 0 dB.
+        x = AudioBuffer(np.zeros(FS), FS)
+        best, curve, z, state = select_filter_length(x, x, [96, 48, 64])
+        assert curve == [(96, 0.0), (48, 0.0), (64, 0.0)]
+        assert best == 48 and state.config.filter_length == 48
+        assert not np.any(z.samples)
+
     def test_returns_the_winning_run(self):
         scene = self._scene()
         ch1, ch2 = scene.mixture.channel(0), scene.mixture.channel(1)
@@ -444,12 +453,12 @@ class TestSelectFilterLength:
         assert np.array_equal(z.samples, once[2].samples)
 
     def test_overflowing_output_fails_without_warnings(self):
-        # At 1e153 some lengths' FDAF runs finish; their residual variance overflows.
+        # At 1e153 some lengths' FDAF runs finish; their output power overflows.
         mixture = default_scene(seed=1).mixture
         ch1, ch2 = (AudioBuffer(1e153 * mixture.samples[m], FS) for m in range(2))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with pytest.raises(RuntimeError, match="input level overflows the residual variance"):
+            with pytest.raises(RuntimeError, match="input level overflows the output power"):
                 select_filter_length(ch1, ch2, [50, 250])
         assert not caught
 

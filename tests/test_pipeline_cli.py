@@ -617,7 +617,7 @@ class TestCliSweep:
         assert code == 0
         printed = capsys.readouterr().out
         lines = out_csv.read_text().splitlines()
-        assert lines[0] == "length,mean_sinr_db"
+        assert lines[0] == "length,power_reduction_db"
         assert len(lines) == 4
         chosen = int(
             [l for l in printed.splitlines() if l.startswith("chosen_length=")][0].split("=")[1]
@@ -747,7 +747,7 @@ class TestCliSettings:
         assert not out.exists()
 
     def test_length_sweep_overflow_is_data_error_without_warnings(self, tmp_path, capsys):
-        # At 1e153 some candidates' FDAF runs finish; their residual variance overflows.
+        # At 1e153 some candidates' FDAF runs finish; their output power overflows.
         huge = tmp_path / "huge.wav"
         mixture = default_scene(seed=1).mixture
         write_wav(huge, AudioBuffer(1e153 * mixture.samples, FS), sample_format="float64")
@@ -759,7 +759,7 @@ class TestCliSettings:
         assert not caught
         err = capsys.readouterr().err
         assert err.startswith("audiozoom: all candidate lengths failed: ")
-        assert "input level overflows the residual variance" in err
+        assert "input level overflows the output power" in err
         assert not out.exists()
 
     def test_post_filter_overflow_is_data_error(self, tmp_path, capsys):
