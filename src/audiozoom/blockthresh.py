@@ -129,14 +129,14 @@ def residual_variance(y1: Spectrogram, y2: Spectrogram, z: Spectrogram) -> np.nd
 def variance_floor(power: np.ndarray) -> float:
     """Variance below which a cell counts as interference-free.
 
-    VARIANCE_FLOOR_FACTOR of the mean power, and never below 1e-300. Raises
+    VARIANCE_FLOOR_FACTOR of the mean power, so 0 for silent input. Raises
     ValueError when the mean power overflows.
     """
     with np.errstate(over="ignore"):
         mean = float(power.mean()) if power.size else 0.0
     if not np.isfinite(mean):
         raise ValueError("input level overflows the post-filter's mean power; scale the input down")
-    return max(VARIANCE_FLOOR_FACTOR * mean, 1e-300)
+    return VARIANCE_FLOOR_FACTOR * mean
 
 
 def _tile(stack: np.ndarray, tiling: Tiling) -> np.ndarray:
@@ -148,12 +148,11 @@ def _tile(stack: np.ndarray, tiling: Tiling) -> np.ndarray:
 
 
 def attenuation_factor(snr):
-    """Oracle gain 1 - 1/(snr + 1), clipped into [0, 1]."""
+    """Oracle gain 1 - 1/(snr + 1), in [0, 1] for snr >= 0."""
     snr = np.asarray(snr, dtype=np.float64)
     if np.any(snr < 0):
         raise ValueError("block SNR must be nonnegative")
     gain = 1.0 - 1.0 / (snr + 1.0)
-    gain = np.clip(gain, 0.0, 1.0)
     return float(gain) if gain.ndim == 0 else gain
 
 
@@ -182,10 +181,10 @@ def _choose_tilings(power, sigma2, tilings, snr_threshold, floor, gains) -> np.n
 
     The tilings are scanned in the given order; a block moves to a later one
     only when it has more above-threshold sub-blocks, or as many with a larger
-    mean SNR among them. A sub-block whose mean variance sits below the floor
-    gets the SNR_CAP sentinel (clean signal). The chosen sub-block gains are
-    written into gains, a view of the same shape, once per cell. Returns each
-    block's index into tilings, (n_b, n_t).
+    mean SNR among them. A sub-block whose mean variance is at or below the
+    floor (a silent one too) gets the SNR_CAP sentinel (clean signal). The
+    chosen sub-block gains are written into gains, a view of the same shape,
+    once per cell. Returns each block's index into tilings, (n_b, n_t).
     """
     shape = (power.shape[0], power.shape[2])
     best = np.zeros(shape, dtype=np.intp)
@@ -197,7 +196,7 @@ def _choose_tilings(power, sigma2, tilings, snr_threshold, floor, gains) -> np.n
     ):
         with np.errstate(divide="ignore", invalid="ignore"):
             snr = np.clip(mean_power / mean_var - 1.0, 0.0, SNR_CAP)
-        snr[mean_var < floor] = SNR_CAP
+        snr[mean_var <= floor] = SNR_CAP
         snrs.append(snr)
         # Each block's sub-blocks in one contiguous row: every tiling of a region
         # sums as many in the same order, so equal SNRs tie exactly.

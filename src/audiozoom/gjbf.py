@@ -126,6 +126,7 @@ def _gradient_kernels(frames: np.ndarray, reference: np.ndarray, config: GjbfCon
     # Scale-invariant floor: keeps near-silent blocks (or bins) from blowing
     # up the normalized step while vanishing identically for a zero reference.
     power += 1e-4 * nfft * float(np.mean(reference**2))
+    # Absolute: guards a zero reference and keeps very quiet input from overflowing the step.
     power += 1e-300
     spectra /= power
     del power
@@ -202,8 +203,8 @@ def mean_sinr_db(z: Spectrogram, sigma2: np.ndarray) -> float:
     """Scalar SINR score: mean over valid cells of 10*log10(1 + SINR).
 
     A cell's SINR is (|Z|^2 - sigma^2) / sigma^2, clipped to [0, SNR_CAP].
-    Cells whose variance sits below VARIANCE_FLOOR_FACTOR of the mean output
-    power are not valid; with none valid the score is that of SNR_CAP.
+    Cells whose variance sits at or below VARIANCE_FLOOR_FACTOR of the mean
+    output power are not valid; with none valid the score is that of SNR_CAP.
     """
     with np.errstate(over="ignore"):  # variance_floor rejects an overflowed power
         power = np.abs(z.coefficients) ** 2
@@ -212,7 +213,7 @@ def mean_sinr_db(z: Spectrogram, sigma2: np.ndarray) -> float:
         raise ValueError("dimensions must match")
     if np.any(sigma2 < 0):
         raise ValueError("variance map must be nonnegative")
-    valid = sigma2 >= variance_floor(power)
+    valid = sigma2 > variance_floor(power)
     if not valid.any():
         return float(10.0 * np.log10(1.0 + SNR_CAP))
     ratio = np.clip((power[valid] - sigma2[valid]) / sigma2[valid], 0.0, SNR_CAP)

@@ -57,13 +57,15 @@ def align_delay_and_scale(estimate: np.ndarray, reference: np.ndarray, max_shift
     reference = np.asarray(reference, dtype=np.float64)
     n = min(estimate.size, reference.size)
     estimate, reference = estimate[:n], reference[:n]
+    max_shift = min(max_shift, n - 1)  # the pair overlaps only at |lag| < n
     # corr[k] = sum ref[i] * est[i+k]; a circular correlation of length
     # size >= n + max_shift does not wrap at |k| <= max_shift, and a negative
-    # lag k reads corr[size + k].
+    # lag k reads corr[size + k]. Only its peak lag counts, so both enter at an
+    # exact power-of-two scale near 1, where no product over- or underflows.
     size = fast_fft_length(n + max_shift)
-    corr = np.fft.irfft(np.conj(np.fft.rfft(reference, size)) * np.fft.rfft(estimate, size), size)
+    ref, est = (np.ldexp(x, -np.frexp(np.abs(x).max(initial=0.0))[1]) for x in (reference, estimate))
+    corr = np.fft.irfft(np.conj(np.fft.rfft(ref, size)) * np.fft.rfft(est, size), size)
     lags = np.arange(-max_shift, max_shift + 1)
-    lags = lags[np.abs(lags) < n]  # lags at which the pair overlaps
     shift = int(lags[np.argmax(np.abs(corr[lags]))])
     lo, hi = _overlap(n, shift)
     aligned = np.zeros(n)
@@ -115,7 +117,7 @@ def decompose_linear(stage, target_image, residual_image, mixture_output=None, r
         mix = _values(mixture_output)
         scale = float(np.linalg.norm(mix))
         gap = float(np.linalg.norm(total - mix))
-        if gap > rtol * max(scale, 1e-300):
+        if gap > rtol * scale:
             raise RuntimeError(
                 f"stage is not frozen/linear: superposition residual {gap:.3e} vs norm {scale:.3e}"
             )

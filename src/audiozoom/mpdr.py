@@ -66,26 +66,22 @@ def mpdr_weights(cov: np.ndarray, steering: np.ndarray, alpha) -> np.ndarray:
         raise ValueError("loading must be nonnegative")
     if cov.shape[-2:] != (2, 2) or d.shape != cov.shape[:-1]:
         raise ValueError("need (..., 2, 2) covariances and (..., 2) steering vectors")
-    # Closed-form 2x2 solve via the adjugate; exact and cheap for M = 2. Each
-    # matrix is first scaled by the power of two nearest its largest entry,
-    # which is exact and keeps det within range for any normal-range covariance.
+    # Closed-form 2x2 solve w = adj(R)d / (d^H adj(R) d), in which det(R)
+    # cancels. Each matrix is scaled exactly by a power of two that brings its
+    # largest entry into [0.5, 1): every product stays in range, and the
+    # degeneracy test against |d|^2 is relative.
     entries = (cov + alpha[..., None, None] * np.eye(2)).reshape(*cov.shape[:-2], 4)
     peak = np.abs(entries).max(axis=-1)
     if np.any((0.0 < peak) & (peak < np.finfo(np.float64).tiny)):
         raise np.linalg.LinAlgError("covariance below the normal float range; increase loading")
-    unit = np.ldexp(1.0, -np.frexp(peak)[1])[..., None]
-    entries *= unit
+    entries *= np.ldexp(1.0, -np.frexp(peak)[1])[..., None]
     a, b, c, e = np.moveaxis(entries, -1, 0)
-    det = a * e - b * c
-    scale = np.maximum(np.abs(entries).max(axis=-1), 1e-300)
-    if np.any(np.abs(det) <= 1e-15 * scale * scale):
-        raise np.linalg.LinAlgError("degenerate covariance; increase loading")
     d1, d2 = d[..., 0], d[..., 1]
-    num = np.stack([e * d1 - b * d2, -c * d1 + a * d2], axis=-1) / det[..., None] * unit
-    den = np.einsum("...m,...m->...", d.conj(), num)[..., None]
-    if np.any(den == 0):
+    num = np.stack([e * d1 - b * d2, -c * d1 + a * d2], axis=-1)
+    den = np.einsum("...m,...m->...", d.conj(), num)
+    if np.any(np.abs(den) <= 1e-15 * np.sum(np.abs(d) ** 2, axis=-1)):
         raise np.linalg.LinAlgError("degenerate covariance; increase loading")
-    return num / den
+    return num / den[..., None]
 
 
 def scaled_loading(cov: np.ndarray) -> np.ndarray:

@@ -162,7 +162,7 @@ def block_threshold_reference(z, sigma2, params=BlockThresholdParams()):
                 mean_var = block_means(sigma2[b0:b1, t0:t1], tiling)
                 with np.errstate(divide="ignore", invalid="ignore"):
                     snr = np.clip(mean_power / mean_var - 1.0, 0.0, SNR_CAP)
-                snr = np.where(mean_var < floor, SNR_CAP, snr)
+                snr = np.where(mean_var <= floor, SNR_CAP, snr)
                 above = snr > params.snr_threshold
                 count = int(above.sum())
                 mean_above = float(snr[above].mean()) if count else float("-inf")

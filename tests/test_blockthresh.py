@@ -478,6 +478,15 @@ class TestBatchedMatchesReference:
         sigma2[:33] = 0.0
         _assert_matches_reference(z, sigma2, params)
 
+    @pytest.mark.parametrize("params", ORACLE_PARAMS, ids=_params_id)
+    def test_silent_grid_passes_through(self, params):
+        # Silent input has a zero floor, and every sub-block sits at it.
+        z = np.zeros((65, 24), dtype=complex)
+        sigma2 = np.zeros(z.shape)
+        grid = block_threshold_gains(z, sigma2, params)
+        assert np.all(grid.gains == attenuation_factor(SNR_CAP))
+        _assert_same_grid(grid, block_threshold_reference(z, sigma2, params))
+
 
 def test_batched_core_calls_do_not_grow_with_macro_blocks(monkeypatch):
     # 257 x 101 and 257 x 3749 (60 s at the default STFT) share their region

@@ -1,5 +1,7 @@
 """Tests for the evaluation metrics and decompositions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from helpers import FS, align_delay_and_scale_reference, default_scene
@@ -289,3 +291,34 @@ class TestAlignmentMatchesReference:
         ref = rng.standard_normal(2000)
         est = np.concatenate([np.zeros(7), ref, rng.standard_normal(500)])
         assert self._assert_same(est, ref, 64) == 7
+
+    def test_search_beyond_the_signal_is_clamped(self):
+        # Lags of n or more cannot overlap, so a larger max_shift may not cost
+        # a longer transform: same answer, and a peak that does not grow.
+        rng = np.random.default_rng(41)
+        n = 400
+        ref = rng.standard_normal(n)
+        est = np.roll(ref, 9) + 0.1 * rng.standard_normal(n)
+        results, peaks = [], []
+        for max_shift in (n - 1, 10 * n, 1000 * n):
+            tracemalloc.start()
+            results.append(align_delay_and_scale(est, ref, max_shift))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        for aligned, shift, gain in results[1:]:
+            assert shift == results[0][1] == 9
+            assert gain == results[0][2]
+            assert np.array_equal(aligned, results[0][0])
+        assert max(peaks) <= 1.5 * peaks[0]
+        for max_shift in (0, 1000):  # an empty pair still has no lag to pick
+            with pytest.raises(ValueError):
+                align_delay_and_scale(np.zeros(0), np.zeros(0), max_shift)
+
+    @pytest.mark.parametrize("a", [1e-170, 1e-150, 1e152])
+    def test_peak_lag_does_not_depend_on_level(self, a):
+        # Unscaled, the correlation's products underflow to 0 at 1e-170 and
+        # overflow at 1e152, where the gain's sums are still in range.
+        rng = np.random.default_rng(43)
+        ref = rng.standard_normal(4000)
+        est = np.roll(ref, 5) + 0.1 * rng.standard_normal(ref.size)
+        assert align_delay_and_scale(a * est, a * ref)[1] == align_delay_and_scale(est, ref)[1] == 5

@@ -1,5 +1,6 @@
 """Tests for covariance estimation and the distortionless beamformer."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -16,7 +17,8 @@ from audiozoom.mpdr import (
     mpdr_weights,
     scaled_loading,
 )
-from audiozoom.pipeline import run_zoom
+from audiozoom.metrics import EvalReport
+from audiozoom.pipeline import PipelineConfig, evaluate_scene, run_zoom
 from audiozoom.simulate import MixtureSpec, SourceSpec, steering_vector, synthesize_mixture, two_mic_array
 
 FS = 16000
@@ -150,10 +152,32 @@ class TestMpdrWeights:
         dist = [np.linalg.norm(mpdr_weights(cov, d, alpha * 2.0**k) - goal) for k in range(11)]
         assert all(a >= b - 1e-12 for a, b in zip(dist, dist[1:]))
 
+    def test_each_matrix_scaled_on_its_own(self):
+        # Bins can differ in power by hundreds of orders of magnitude; a stack
+        # spanning the float range must solve as its unscaled copy does.
+        rng = np.random.default_rng(17)
+        exponents = np.arange(-1000, 1021)
+        covs = np.array([_random_psd(rng) for _ in exponents])
+        covs /= np.abs(covs).max(axis=(1, 2), keepdims=True)
+        steering = np.array([_random_unit_steering(rng) for _ in exponents])
+        want = mpdr_weights(covs, steering, 0.0)
+        got = mpdr_weights(covs * np.ldexp(1.0, exponents)[:, None, None], steering, 0.0)
+        assert np.all(np.abs(got - want).max(axis=1) <= 1e-14 * np.abs(want).max(axis=1))
+
     def test_singular_matrix_rejected(self):
         cov = np.zeros((2, 2))
         with pytest.raises(np.linalg.LinAlgError, match="loading"):
             mpdr_weights(cov, np.ones(2), alpha=0.0)
+
+    def test_singular_matrix_off_the_steering_gives_the_limit(self):
+        # Rank one, with d outside its range: the unloaded solve is the limit of
+        # the loaded one, the weight that nulls R with unit response.
+        v = np.array([1.0, -0.5j])
+        cov, d = np.outer(v, v.conj()), np.ones(2, dtype=complex)
+        w = mpdr_weights(cov, d, 0.0)
+        assert w.conj() @ d == pytest.approx(1.0, abs=1e-15)
+        assert abs(w.conj() @ cov @ w) <= 1e-15
+        assert np.abs(mpdr_weights(cov, d, 1e-8) - w).max() <= 1e-7
 
     def test_negative_loading_rejected(self):
         cov = np.eye(2)
@@ -232,19 +256,32 @@ class TestApplyMatchesReference:
 
 
 class TestAmplitudeRange:
-    """MPDR through run_zoom on default_scene(1).mixture scaled by a."""
+    """MPDR through run_zoom on default_scene(seed).mixture scaled by a."""
 
     @staticmethod
     def _scaled(a):
         mixture = default_scene(seed=1).mixture
         return AudioBuffer(a * mixture.samples, mixture.sample_rate), mixture
 
-    @pytest.mark.parametrize("a", [1e-100, 1e100, 1e150])
+    @pytest.mark.parametrize("a", [1e-152, 1e-150, 1e-148, 1e-100, 1e100, 1e150, 1e151])
     def test_output_scales_with_input(self, a):
-        scaled, mixture = self._scaled(a)
-        want = a * run_zoom(mixture).output.samples
-        got = run_zoom(scaled).output.samples
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        for seed in (1, 2, 5):
+            scene = default_scene(seed=seed)
+            images = (scene.mixture, scene.target_image, scene.interference_plus_noise)
+            scaled = [AudioBuffer(a * image.samples, image.sample_rate) for image in images]
+            for bt_enabled in (True, False):
+                config = PipelineConfig(bt_enabled=bt_enabled)
+                want = a * run_zoom(scene.mixture, config).output.samples
+                got = run_zoom(scaled[0], config).output.samples
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            # The scorer sees the same scene at level a: every field is a ratio.
+            want_report, want_result = evaluate_scene(*images)
+            got_report, got_result = evaluate_scene(*scaled)
+            want = a * want_result.output.samples
+            assert np.abs(got_result.output.samples - want).max() <= 1e-12 * np.abs(want).max()
+            for field in dataclasses.fields(EvalReport):
+                got_db, want_db = getattr(got_report, field.name), getattr(want_report, field.name)
+                assert got_db == pytest.approx(want_db, abs=1e-9)
 
     def test_overflowing_covariance_is_value_error(self):
         scaled, _ = self._scaled(1e200)
@@ -261,8 +298,15 @@ class TestAmplitudeRange:
         assert not caught
 
     def test_underflowing_power_is_degenerate(self):
-        scaled, _ = self._scaled(1e-200)
-        with pytest.raises(np.linalg.LinAlgError, match="degenerate"):
+        for a in (0.0, 1e-200):  # silent, and a covariance that underflows to 0
+            scaled, _ = self._scaled(a)
+            with pytest.raises(np.linalg.LinAlgError, match="degenerate"):
+                run_zoom(scaled)
+
+    def test_subnormal_covariance_is_linalg_error(self):
+        # At 1e-153 the loaded covariances are nonzero but below the normal range.
+        scaled, _ = self._scaled(1e-153)
+        with pytest.raises(np.linalg.LinAlgError, match="below the normal float range"):
             run_zoom(scaled)
 
 
