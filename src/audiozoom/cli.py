@@ -209,7 +209,10 @@ def cmd_simulate(args) -> int:
     )
     echo_taps = ()
     if scenario.echo_t60_ms is not None:
-        echo_taps = echo_taps_for_t60(scenario.echo_t60_ms / 1000.0)
+        try:
+            echo_taps = echo_taps_for_t60(scenario.echo_t60_ms / 1000.0)
+        except ValueError as exc:
+            raise ValueError(f"echo_t60_ms: {exc}") from exc
     spec = MixtureSpec(
         target=target,
         interferers=interferers,

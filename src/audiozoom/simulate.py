@@ -26,8 +26,8 @@ class ArrayGeometry:
     def __post_init__(self):
         if not np.isfinite(self.spacing_m) or self.spacing_m == 0:
             raise ValueError("spacing_m must be finite and nonzero")
-        if self.sound_speed <= 0:
-            raise ValueError("sound_speed must be positive")
+        if not (np.isfinite(self.sound_speed) and self.sound_speed > 0):
+            raise ValueError("sound_speed must be finite and positive")
 
     def delays(self, azimuth_deg: float) -> np.ndarray:
         """Far-field arrival delay (s) at each mic relative to mic 1.
@@ -141,6 +141,8 @@ class MixtureSpec:
             raise ValueError("interferer sources must have role 'interference'")
         if not np.isfinite(self.sir_db):
             raise ValueError("sir_db must be finite")
+        if self.sensor_noise_snr_db is not None and not np.isfinite(self.sensor_noise_snr_db):
+            raise ValueError("sensor_noise_snr_db must be finite or None")
         object.__setattr__(self, "interferers", tuple(self.interferers))
         object.__setattr__(self, "echo_taps", tuple(self.echo_taps))
 
@@ -168,8 +170,8 @@ _ECHO_DELAYS_S = (0.013, 0.021, 0.034, 0.047, 0.061, 0.079)
 
 def echo_taps_for_t60(t60_s: float) -> tuple:
     """Exponentially decaying echo taps approximating a 60 dB decay time."""
-    if t60_s <= 0:
-        raise ValueError("t60 must be positive")
+    if not (np.isfinite(t60_s) and t60_s > 0):
+        raise ValueError("t60_s must be finite and positive")
     taps = []
     for k, delay in enumerate(_ECHO_DELAYS_S):
         gain = 10.0 ** (-3.0 * delay / t60_s)
@@ -337,6 +339,41 @@ def _control_curve(rng: np.random.Generator, n: int, rate_hz: float, sample_rate
     return np.interp(grid, np.arange(points), ctrl)
 
 
+HARMONICS = 14  # the most harmonics a talker gets; each stops below 0.45 * sample_rate
+SYNTH_PIECE = 16384  # samples per piece of the harmonic sum: four 128 KB buffers stay in L2
+
+
+def _harmonic_sum(phase: np.ndarray, amplitudes) -> np.ndarray:
+    """sum_k amplitudes[k-1] * sin(k * phase), by Clenshaw's recurrence.
+
+    b_k = a_k + 2cos(phase) b_{k+1} - b_{k+2}, and the sum is b_1 sin(phase)
+    (Clenshaw, Math. Tables Aids Comput. 9, 1955): one sin and one cos per
+    sample for the whole series. The work goes piece by piece through
+    buffers of SYNTH_PIECE samples; every step is per sample, so the piece
+    size does not change a bit of the result.
+    """
+    out = np.empty_like(phase)
+    piece = min(SYNTH_PIECE, phase.size)
+    two_cos, b_next, b_next2, spare = np.empty((4, piece))
+    for start in range(0, phase.size, piece):
+        stop = min(start + piece, phase.size)
+        m = stop - start
+        c, b1, b2, t = two_cos[:m], b_next[:m], b_next2[:m], spare[:m]
+        np.cos(phase[start:stop], out=c)
+        c *= 2.0
+        b1.fill(0.0)
+        b2.fill(0.0)
+        for a_k in reversed(amplitudes):
+            np.multiply(c, b1, out=t)
+            t -= b2
+            t += a_k
+            b1, b2, t = t, b1, b2
+        dest = out[start:stop]
+        np.sin(phase[start:stop], out=dest)
+        dest *= b1
+    return out
+
+
 def speech_like(duration_s: float, sample_rate: int = 16000, seed: int = 0) -> AudioBuffer:
     """Synthetic speech-like test signal: pitched harmonics shaped by two
     formant resonances, syllabic amplitude rhythm, and noise bursts.
@@ -344,10 +381,15 @@ def speech_like(duration_s: float, sample_rate: int = 16000, seed: int = 0) -> A
     Deterministic for a given seed; intended as desk-scale stand-in material
     when no recorded speech is at hand.
     """
+    if not (np.isfinite(sample_rate) and sample_rate > 0 and float(sample_rate).is_integer()):
+        raise ValueError("sample_rate must be a positive integer")
+    if not np.isfinite(duration_s):
+        raise ValueError("duration_s must be finite")
+    sample_rate = int(sample_rate)
     rng = np.random.default_rng(seed)
     n = int(round(duration_s * sample_rate))
     if n <= 0:
-        raise ValueError("duration must be positive")
+        raise ValueError("duration_s must be positive and at least half a sample")
 
     # Pitch contour: slow random curve mapped into 95..230 Hz.
     drift = _control_curve(rng, n, 2.0, sample_rate)
@@ -363,11 +405,12 @@ def speech_like(duration_s: float, sample_rate: int = 16000, seed: int = 0) -> A
         return 1.0 / (1.0 + ((freq - f1) / 110.0) ** 2) + 0.7 / (1.0 + ((freq - f2) / 260.0) ** 2)
 
     f0_mid = float(np.median(f0))
-    voiced = np.zeros(n)
-    for k in range(1, 15):
+    amplitudes = []
+    for k in range(1, HARMONICS + 1):
         if k * f0_mid >= 0.45 * sample_rate:
             break
-        voiced += (resonance(k * f0_mid) / k**0.5) * np.sin(k * phase)
+        amplitudes.append(resonance(k * f0_mid) / k**0.5)
+    voiced = _harmonic_sum(phase, amplitudes)
 
     # Syllable rhythm around 4 Hz plus an independent gate for noise bursts.
     syllables = np.clip(_control_curve(rng, n, 4.0, sample_rate), 0.0, None)

@@ -16,7 +16,15 @@ from audiozoom.blockthresh import (
 from audiozoom.dsp import AudioBuffer, check_cola, istft, make_window, stft
 from audiozoom.gjbf import DIVERGENCE_LIMIT, POWER_SMOOTHING, fdaf_gjbf
 from audiozoom.mpdr import apply_mpdr, design_mpdr
-from audiozoom.simulate import MixtureSpec, SourceSpec, speech_like, synthesize_mixture, two_mic_array
+from audiozoom.simulate import (
+    HARMONICS,
+    MixtureSpec,
+    SourceSpec,
+    _control_curve,
+    speech_like,
+    synthesize_mixture,
+    two_mic_array,
+)
 
 FS = 16000
 
@@ -121,6 +129,41 @@ def default_scene(
 def white_noise_buffer(length, seed, rate=FS):
     rng = np.random.default_rng(seed)
     return AudioBuffer(rng.standard_normal(length), rate)
+
+
+def speech_like_reference(duration_s, sample_rate=16000, seed=0):
+    """Direct-sum form of simulate.speech_like: one np.sin pass per harmonic.
+
+    Draws the same random numbers in the same order, so it differs from the
+    library's Clenshaw sum only by rounding. Serves as its oracle.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(round(duration_s * sample_rate))
+    drift = _control_curve(rng, n, 2.0, sample_rate)
+    span = drift.max() - drift.min()
+    unit = (drift - drift.min()) / span if span > 0 else np.zeros(n)
+    f0 = 95.0 + 135.0 * unit
+    phase = 2.0 * np.pi * np.cumsum(f0) / sample_rate
+    f1 = rng.uniform(420.0, 750.0)
+    f2 = rng.uniform(1100.0, 2200.0)
+
+    def resonance(freq):
+        return 1.0 / (1.0 + ((freq - f1) / 110.0) ** 2) + 0.7 / (1.0 + ((freq - f2) / 260.0) ** 2)
+
+    f0_mid = float(np.median(f0))
+    voiced = np.zeros(n)
+    for k in range(1, HARMONICS + 1):
+        if k * f0_mid >= 0.45 * sample_rate:
+            break
+        voiced += (resonance(k * f0_mid) / k**0.5) * np.sin(k * phase)
+    syllables = np.clip(_control_curve(rng, n, 4.0, sample_rate), 0.0, None) ** 0.8
+    burst_gate = np.clip(_control_curve(rng, n, 3.0, sample_rate), 0.0, None)
+    fricative = np.diff(rng.standard_normal(n + 1))
+    x = voiced * syllables + 0.25 * fricative * burst_gate
+    peak = np.max(np.abs(x))
+    if peak > 0:
+        x *= 0.7 / peak
+    return AudioBuffer(x, sample_rate)
 
 
 def block_threshold_reference(z, sigma2, params=BlockThresholdParams()):

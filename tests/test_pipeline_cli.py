@@ -342,6 +342,26 @@ class TestCliSimulate:
         scenario.write_text("target=nowhere.wav,90\n")
         assert main(["simulate", str(scenario), str(tmp_path / "x_")]) == 2
 
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ("sound_speed=inf", "sound_speed"),
+            ("sound_speed=nan", "sound_speed"),
+            ("echo_t60_ms=nan", "echo_t60_ms"),
+            ("echo_t60_ms=inf", "echo_t60_ms"),
+            ("sensor_noise_snr_db=nan", "sensor_noise_snr_db"),
+            ("sensor_noise_snr_db=-inf", "sensor_noise_snr_db"),
+            ("sensor_noise_snr_db=inf", "sensor_noise_snr_db"),
+        ],
+    )
+    def test_non_finite_scenario_value_exit_code(self, tmp_path, capsys, line, key):
+        scenario = _write_scene_inputs(tmp_path, duration=0.25)
+        scenario.write_text(scenario.read_text() + line + "\n")
+        prefix = str(tmp_path / "x_")
+        assert main(["simulate", str(scenario), prefix]) == 2
+        assert key in capsys.readouterr().err
+        assert not os.path.exists(prefix + "mixture.wav")
+
 
 class TestCliZoom:
     def _identical_channel_wav(self, tmp_path, seed=32):

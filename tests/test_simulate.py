@@ -1,8 +1,10 @@
 """Tests for geometry, fractional delay, and mixture synthesis."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from helpers import source_image_reference, white_noise_buffer
+from helpers import source_image_reference, speech_like_reference, white_noise_buffer
 
 from audiozoom import simulate
 from audiozoom.dsp import AudioBuffer
@@ -53,8 +55,9 @@ class TestSteeringVector:
         for spacing in (0.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="finite and nonzero"):
                 ArrayGeometry(spacing)
-        with pytest.raises(ValueError, match="sound_speed"):
-            ArrayGeometry(0.10, sound_speed=0.0)
+        for speed in (0.0, -343.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="sound_speed must be finite and positive"):
+                ArrayGeometry(0.10, sound_speed=speed)
         with pytest.raises(TypeError):
             ArrayGeometry(mic_positions=((0.0, 0.0, 0.0), (0.10, 0.0, 0.0)))
 
@@ -219,6 +222,16 @@ class TestSynthesizeMixture:
         # 60 dB down at the decay time by construction.
         assert gains[0] == pytest.approx(10 ** (-3 * delays[0] / 0.1))
 
+    @pytest.mark.parametrize("t60_s", [0.0, -0.1, np.inf, np.nan])
+    def test_echo_t60_must_be_finite_and_positive(self, t60_s):
+        with pytest.raises(ValueError, match="t60_s must be finite and positive"):
+            echo_taps_for_t60(t60_s)
+
+    @pytest.mark.parametrize("snr_db", [np.inf, -np.inf, np.nan])
+    def test_sensor_noise_snr_must_be_finite_or_none(self, snr_db):
+        with pytest.raises(ValueError, match="sensor_noise_snr_db must be finite or None"):
+            MixtureSpec(target=SourceSpec(90.0, _noise(seed=16)), sensor_noise_snr_db=snr_db)
+
     def test_echo_changes_image_but_keeps_sir(self):
         spec = MixtureSpec(
             target=SourceSpec(90.0, _noise(seed=14)),
@@ -296,6 +309,69 @@ class TestSpeechLike:
         high = spec[(freqs > 1000) & (freqs < 6000)].sum()
         assert low > 0 and high > 0
         assert high / low > 1e-3  # not a pure low-frequency tone
+
+    # The Clenshaw sum differs from the direct sum by rounding only. Measured
+    # largest deviations over the peak: 6.3e-13 at 2 s and 2.3e-12 at 10 s
+    # (seeds 0-4), 1.1e-11 at 60 s (seeds 0-2). The direct sum has error of
+    # its own: at 60 s, |k * phase| reaches about 1.2e6 rad, where one ulp
+    # is 2.3e-10.
+    @pytest.mark.parametrize(
+        "duration_s, seeds, tol", [(2.0, range(5), 1e-11), (10.0, range(5), 1e-11), (60.0, range(3), 1e-10)]
+    )
+    def test_matches_direct_sum(self, duration_s, seeds, tol):
+        for seed in seeds:
+            got = speech_like(duration_s, FS, seed=seed).samples
+            want = speech_like_reference(duration_s, FS, seed=seed).samples
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+    @pytest.mark.parametrize("rate", [1000, 8000, 44100])
+    def test_matches_direct_sum_at_other_rates(self, rate):
+        # 1000 Hz keeps only the harmonics below 450 Hz, the 0.45 * rate stop.
+        got = speech_like(1.0, rate, seed=6).samples
+        want = speech_like_reference(1.0, rate, seed=6).samples
+        assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+
+    def test_piece_size_does_not_change_bits(self, monkeypatch):
+        want = speech_like(1.3, FS, seed=8).samples
+        for piece in (1, 1000, 10**6):
+            monkeypatch.setattr(simulate, "SYNTH_PIECE", piece)
+            assert np.array_equal(speech_like(1.3, FS, seed=8).samples, want)
+
+    def test_no_whole_signal_buffer_beyond_the_direct_sum(self):
+        # Peak Python-heap use, in output sizes: 10.0 for the direct sum and
+        # the Clenshaw sum alike at 60 s.
+        tracemalloc.start()
+        try:
+            out = speech_like(60.0, FS, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10.5 * out.samples.nbytes
+
+    @pytest.mark.parametrize("duration_s", [np.inf, -np.inf, np.nan])
+    def test_non_finite_duration_rejected(self, duration_s):
+        with pytest.raises(ValueError, match="duration_s must be finite"):
+            speech_like(duration_s, FS)
+
+    @pytest.mark.parametrize("duration_s", [0.0, -1.0, 0.4 / FS])
+    def test_duration_under_half_a_sample_rejected(self, duration_s):
+        with pytest.raises(ValueError, match="duration_s must be positive"):
+            speech_like(duration_s, FS)
+
+    @pytest.mark.parametrize("rate", [0, -16000, np.inf, np.nan])
+    def test_non_positive_sample_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="sample_rate must be a positive integer"):
+            speech_like(1.0, rate)
+
+    def test_fractional_sample_rate_rejected(self):
+        with pytest.raises(ValueError, match="sample_rate must be a positive integer"):
+            speech_like(1.0, 8000.5)
+
+    def test_integral_float_sample_rate_accepted(self):
+        x = speech_like(0.5, 8000.0, seed=2)
+        assert x.sample_rate == 8000 and x.length == 4000
+        assert np.array_equal(x.samples, speech_like(0.5, 8000, seed=2).samples)
 
 
 class TestSourceImageMatchesReference:
