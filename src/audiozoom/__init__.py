@@ -43,7 +43,6 @@ from .simulate import (
     fractional_delay,
     parse_scenario,
     speech_like,
-    steering_vector,
     synthesize_mixture,
     two_mic_array,
 )

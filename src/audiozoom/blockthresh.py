@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import CHUNK_FRAMES, Spectrogram
+from .dsp import Spectrogram, _chunk_frames, _run_spans, _spans
 
 SNR_CAP = 1e6
 VARIANCE_FLOOR_FACTOR = 1e-12
@@ -100,14 +100,17 @@ def residual_variance(y1: Spectrogram, y2: Spectrogram, z: Spectrogram) -> np.nd
         raise ValueError("spectrogram dimensions must match")
     bins, frames = z.coefficients.shape
     # Column blocks of the (F-ordered) spectrograms through two reused chunk
-    # buffers, so no whole-grid temporary is faulted in. |.|^2 squares the
-    # magnitude in place (x **= 2 is x*x, the same bits as np.abs(d) ** 2).
+    # buffers per span, so no whole-grid temporary is faulted in. |.|^2 squares
+    # the magnitude in place (x **= 2 is x*x, the same bits as np.abs(d) ** 2).
     sigma2 = np.empty((bins, frames), order="F")
-    diff = np.empty((bins, min(CHUNK_FRAMES, frames)), dtype=np.complex128, order="F")
-    square = np.empty((bins, min(CHUNK_FRAMES, frames)), order="F")
-    with np.errstate(over="ignore"):
-        for start in range(0, frames, CHUNK_FRAMES):
-            cols = slice(start, min(start + CHUNK_FRAMES, frames))
+    spans = _spans(frames)
+    step = _chunk_frames(spans)
+
+    def variance(first, last):
+        diff = np.empty((bins, min(step, last - first)), dtype=np.complex128, order="F")
+        square = np.empty((bins, min(step, last - first)), order="F")
+        for start in range(first, last, step):
+            cols = slice(start, min(start + step, last))
             out = sigma2[:, cols]
             d = diff[:, : out.shape[1]]
             s = square[:, : out.shape[1]]
@@ -123,6 +126,9 @@ def residual_variance(y1: Spectrogram, y2: Spectrogram, z: Spectrogram) -> np.nd
                 raise ValueError(
                     "input level overflows the residual variance; scale the input down"
                 )
+
+    with np.errstate(over="ignore"):
+        _run_spans(variance, spans)
     return sigma2
 
 
@@ -177,6 +183,26 @@ def _block_means(stack: np.ndarray, tilings: list) -> list:
 
 
 def _choose_tilings(power, sigma2, tilings, snr_threshold, floor, gains) -> np.ndarray:
+    """Best tiling of every macro-block in a (n_b, MB, n_t, MF) stack.
+
+    The block columns split into spans (dsp._spans), each scored by
+    _best_tilings into its own columns of gains. Returns each block's index
+    into tilings, (n_b, n_t).
+    """
+    n_b, _, n_t, mf = power.shape
+    best = np.empty((n_b, n_t), dtype=np.intp)
+
+    def choose(first, last):
+        cols = slice(first, last)
+        best[:, cols] = _best_tilings(
+            power[:, :, cols], sigma2[:, :, cols], tilings, snr_threshold, floor, gains[:, :, cols]
+        )
+
+    _run_spans(choose, _spans(n_t * mf, unit=1, size=n_t))
+    return best
+
+
+def _best_tilings(power, sigma2, tilings, snr_threshold, floor, gains) -> np.ndarray:
     """Best tiling of every macro-block in a (n_b, MB, n_t, MF) stack, all blocks at once.
 
     The tilings are scanned in the given order; a block moves to a later one
@@ -274,17 +300,24 @@ def block_threshold_gains(
     partial blocks at the borders fall back to the largest subdivision depth
     they can host (down to per-cell gains). The grid splits into at most four
     regions of equal-shaped macro-blocks (interior, right strip, bottom strip,
-    corner), and each region picks every block's tiling in one batched pass.
+    corner), and each region picks every block's tiling in one batched pass
+    per span of its macro-block columns.
     """
     coeffs = z.coefficients if isinstance(z, Spectrogram) else np.asarray(z)
-    with np.errstate(over="ignore"):  # variance_floor rejects an overflowed power
-        power = np.abs(coeffs)
-        power **= 2
     sigma2 = np.asarray(sigma2, dtype=np.float64)
-    if power.shape != sigma2.shape:
+    if coeffs.shape != sigma2.shape:
         raise ValueError("variance map dimensions must match the spectrogram")
-    bins, frames = power.shape
+    bins, frames = coeffs.shape
     mb, mf = params.macro_bins, params.macro_frames
+    power = np.empty_like(coeffs, dtype=np.float64)
+
+    def square(first, last):
+        cells = power[:, first:last]
+        np.abs(coeffs[:, first:last], out=cells)
+        cells **= 2
+
+    with np.errstate(over="ignore"):  # variance_floor rejects an overflowed power
+        _run_spans(square, _spans(frames))
     floor = variance_floor(power)
     gains = np.empty_like(power)
     choices = np.empty((-(-bins // mb), -(-frames // mf)), dtype=CHOICE_DTYPE)

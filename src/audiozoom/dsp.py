@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import functools
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,6 +14,74 @@ WINDOW_KINDS = ("hann", "sqrt_hann", "rect")
 # passes over a spectrogram: the work streams through a buffer that stays in
 # cache, and no grid-sized temporary is faulted in.
 CHUNK_FRAMES = 64
+# A whole-grid pass splits into one span of frames per usable CPU while every
+# span keeps at least this many chunks; shorter spans would cost more in
+# thread start-up than they save.
+SPAN_MIN_CHUNKS = 3
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _spans(frames: int, unit: int = CHUNK_FRAMES, size: int | None = None) -> list:
+    """Contiguous (start, stop) spans of range(size), range(frames) by default.
+
+    Every start is a multiple of unit, and the spans number one per usable
+    CPU, fewer when a span of a frames-long grid would hold under
+    SPAN_MIN_CHUNKS chunks. One span is the whole range.
+    """
+    size = frames if size is None else size
+    units = -(-size // unit)
+    count = max(1, min(_usable_cpus(), frames // (SPAN_MIN_CHUNKS * CHUNK_FRAMES), units))
+    cuts = [min(size, unit * (units * k // count)) for k in range(count + 1)]
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+def _chunk_frames(spans: list) -> int:
+    # Frames per chunk buffer inside each of a pass's spans: together the spans
+    # hold one CHUNK_FRAMES buffer, so a pass's scratch does not grow with the
+    # CPU count. Rows transform independently, so the chunking changes no bit.
+    return -(-CHUNK_FRAMES // len(spans))
+
+
+def _run_spans(work, spans: list) -> None:
+    """Run work(start, stop) for every span: the first on this thread, the rest
+    on threads joined before returning.
+
+    Each span runs under this thread's NumPy error state (np.errstate does not
+    reach other threads). After every thread is joined, the first exception in
+    span order is raised again.
+    """
+    if len(spans) == 1:
+        work(*spans[0])
+        return
+    state, call = np.geterr(), np.geterrcall()
+    errors = [None] * len(spans)
+
+    def run(index):
+        try:
+            with np.errstate(call=call, **state):
+                work(*spans[index])
+        except BaseException as exc:  # noqa: BLE001 - raised again on the calling thread
+            errors[index] = exc
+
+    threads = []
+    try:
+        for index in range(1, len(spans)):
+            thread = threading.Thread(target=run, args=(index,))
+            thread.start()
+            threads.append(thread)
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 def make_window(kind: str, length: int) -> np.ndarray:
@@ -140,32 +210,41 @@ def stft(signal: AudioBuffer, params: StftParams = StftParams()) -> Spectrogram:
     n_frames = 1 + -(-(x.size - frame) // hop)
     inside = np.lib.stride_tricks.sliding_window_view(x, frame)[::hop]
     window = make_window(params.window, frame)
-    # Windowed frames go through one reused chunk buffer; each chunk's rfft
-    # writes its rows of the (frames, bins) result, returned transposed.
+    # Windowed frames go through one reused chunk buffer per span; each chunk's
+    # rfft writes its rows of the (frames, bins) result, returned transposed.
     coeffs = np.empty((n_frames, params.bin_count), dtype=np.complex128)
-    chunk = np.empty((min(CHUNK_FRAMES, n_frames), frame))
-    for start in range(0, n_frames, CHUNK_FRAMES):
-        stop = min(start + CHUNK_FRAMES, n_frames)
-        block = chunk[: stop - start]
-        whole = inside[start:stop]
-        np.multiply(whole, window, out=block[: len(whole)])
-        if len(whole) < len(block):
-            rest = x[(n_frames - 1) * hop :]
-            block[-1] = 0.0
-            np.multiply(rest, window[: rest.size], out=block[-1, : rest.size])
-        np.fft.rfft(block, axis=1, out=coeffs[start:stop])
+    spans = _spans(n_frames)
+    step = _chunk_frames(spans)
+
+    def transform(first, last):
+        chunk = np.empty((min(step, last - first), frame))
+        for start in range(first, last, step):
+            stop = min(start + step, last)
+            block = chunk[: stop - start]
+            whole = inside[start:stop]
+            np.multiply(whole, window, out=block[: len(whole)])
+            if len(whole) < len(block):
+                rest = x[(n_frames - 1) * hop :]
+                block[-1] = 0.0
+                np.multiply(rest, window[: rest.size], out=block[-1, : rest.size])
+            np.fft.rfft(block, axis=1, out=coeffs[start:stop])
+
+    _run_spans(transform, spans)
     return Spectrogram(coeffs.T, params, signal.sample_rate)
 
 
-def _overlap_add(frames: np.ndarray, out: np.ndarray) -> None:
-    # Adds (n, frame) rows placed hop apart into out, shaped (n + frame // hop - 1,
-    # hop) or longer, as frame // hop strided adds of hop-wide slices; each
-    # output sample collects its frames in frame order.
+def _overlap_add(frames: np.ndarray, out: np.ndarray, first: int = 0) -> None:
+    # Adds (n, frame) rows placed hop apart, the first at row `first` of out
+    # (shaped (rows, hop); first may be negative), as frame // hop strided adds
+    # of hop-wide slices. Parts outside out are dropped, and each output sample
+    # collects its frames in frame order.
     n_frames, frame = frames.shape
-    hop = out.shape[1]
+    rows, hop = out.shape
     pieces = frames.reshape(n_frames, frame // hop, hop)
     for r in reversed(range(frame // hop)):
-        out[r : r + n_frames] += pieces[:, r]
+        lo, hi = max(first + r, 0), min(first + r + n_frames, rows)
+        if lo < hi:
+            out[lo:hi] += pieces[lo - first - r : hi - first - r, r]
 
 
 def _synthesis_envelope(window: np.ndarray, hop: int, n_frames: int) -> np.ndarray:
@@ -206,13 +285,24 @@ def istft(spec: Spectrogram, length: int | None = None) -> AudioBuffer:
     parts = frame // hop
     out = np.zeros((n_frames + parts - 1, hop))
     coeffs = spec.coefficients.T
-    chunk = np.empty((min(CHUNK_FRAMES, n_frames), frame))
-    for start in range(0, n_frames, CHUNK_FRAMES):
-        stop = min(start + CHUNK_FRAMES, n_frames)
-        block = chunk[: stop - start]
-        np.fft.irfft(coeffs[start:stop], n=frame, axis=1, out=block)
-        block *= window
-        _overlap_add(block, out[start:])
+    spans = _spans(n_frames)
+    step = _chunk_frames(spans)
+
+    def synthesize(first, last):
+        # The span owns output rows first..last-1 (the last span, the rest too).
+        # The parts - 1 frames before first reach them as well, so it transforms
+        # those itself: every row sums its frames in frame order, as in one span.
+        rows = out[first : last if last < n_frames else None]
+        lead = max(first - parts + 1, 0)
+        cuts = [*range(lead, first, step), *range(first, last, step), last]
+        chunk = np.empty((min(step, last - lead), frame))
+        for start, stop in zip(cuts, cuts[1:]):
+            block = chunk[: stop - start]
+            np.fft.irfft(coeffs[start:stop], n=frame, axis=1, out=block)
+            block *= window
+            _overlap_add(block, rows, start - first)
+
+    _run_spans(synthesize, spans)
     # Between its first and last parts-1 rows the envelope repeats one row, so
     # the envelope of min(n_frames, parts) frames holds each distinct row once:
     # the head rows, the interior row and the tail rows.

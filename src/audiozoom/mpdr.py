@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import CHUNK_FRAMES, Spectrogram
+from .dsp import Spectrogram, _chunk_frames, _run_spans, _spans
 
 LOADING_FACTOR = 1e-2
 
@@ -39,14 +39,26 @@ def estimate_covariance(spec_ch1: Spectrogram, spec_ch2: Spectrogram) -> np.ndar
     input level is so large that the products overflow.
     """
     y1, y2 = _channels(spec_ch1, spec_ch2)
-    frames = y1.shape[1]
+    bins, frames = y1.shape
     if frames == 0:
         raise ValueError("no frames")
+    r11, r12, r22 = np.empty((3, bins), dtype=np.complex128)
+    spans = _spans(frames, unit=1, size=bins)
+    # Each span's conjugates go to a buffer of its own, allocated on this
+    # thread: the C allocator keeps what a span thread allocates resident in
+    # that thread's arena between calls.
+    conjs = {first: np.empty_like(y2[first:last]) for first, last in spans}
+
+    def products(first, last):
+        # Each bin sums its frames in the same order whatever the span of bins.
+        a, b, c = y1[first:last], y2[first:last], conjs[first]
+        r11[first:last] = np.einsum("fk,fk->f", a, np.conjugate(a, out=c))
+        np.conjugate(b, out=c)
+        r12[first:last] = np.einsum("fk,fk->f", a, c)
+        r22[first:last] = np.einsum("fk,fk->f", b, c)
+
     with np.errstate(over="ignore", invalid="ignore"):
-        r11 = np.einsum("fk,fk->f", y1, y1.conj())
-        y2_conj = y2.conj()
-        r12 = np.einsum("fk,fk->f", y1, y2_conj)
-        r22 = np.einsum("fk,fk->f", y2, y2_conj)
+        _run_spans(products, spans)
         cov = np.stack([r11, r12, r12.conj(), r22], axis=-1).reshape(-1, 2, 2) / frames
     if not np.all(np.isfinite(cov)):
         raise ValueError("input level overflows the covariance estimate; scale the input down")
@@ -112,15 +124,21 @@ def apply_mpdr(spec_ch1: Spectrogram, spec_ch2: Spectrogram, weights: MpdrWeight
         raise ValueError("weights do not match the spectrogram bin count")
     w = weights.weights.conj()
     # Column chunks of the (F-ordered) result, the second channel's terms
-    # through one reused chunk buffer.
+    # through one reused chunk buffer per span.
     bins, frames = y1.shape
     out = np.empty((bins, frames), dtype=np.complex128, order="F")
-    second = np.empty((bins, min(CHUNK_FRAMES, frames)), dtype=np.complex128, order="F")
-    for start in range(0, frames, CHUNK_FRAMES):
-        cols = slice(start, min(start + CHUNK_FRAMES, frames))
-        chunk = out[:, cols]
-        terms = second[:, : chunk.shape[1]]
-        np.einsum("f,fk->fk", w[:, 0], y1[:, cols], out=chunk)
-        np.einsum("f,fk->fk", w[:, 1], y2[:, cols], out=terms)
-        chunk += terms
+    spans = _spans(frames)
+    step = _chunk_frames(spans)
+
+    def beamform(first, last):
+        second = np.empty((bins, min(step, last - first)), dtype=np.complex128, order="F")
+        for start in range(first, last, step):
+            cols = slice(start, min(start + step, last))
+            chunk = out[:, cols]
+            terms = second[:, : chunk.shape[1]]
+            np.einsum("f,fk->fk", w[:, 0], y1[:, cols], out=chunk)
+            np.einsum("f,fk->fk", w[:, 1], y2[:, cols], out=terms)
+            chunk += terms
+
+    _run_spans(beamform, spans)
     return spec_ch1.with_coefficients(out)

@@ -43,16 +43,6 @@ def two_mic_array(spacing_m: float = 0.10, sound_speed: float = 343.0) -> ArrayG
     return ArrayGeometry(spacing_m, sound_speed)
 
 
-def steering_vector(
-    geometry: ArrayGeometry, azimuth_deg: float, frequency: float | np.ndarray
-) -> np.ndarray:
-    """Unit-modulus phase pattern exp(-j*2*pi*f*tau_m) across the array; f may be an array."""
-    frequency = np.asarray(frequency, dtype=np.float64)
-    if np.any(frequency < 0):
-        raise ValueError("frequency must be nonnegative")
-    return np.exp(-2j * np.pi * frequency[..., None] * geometry.delays(azimuth_deg))
-
-
 DELAY_TAPS = 31  # length of the windowed-sinc interpolator (odd)
 
 

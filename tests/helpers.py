@@ -1,7 +1,11 @@
 """Shared test utilities: reference implementations and scene builders."""
 
+import contextlib
+import functools
+
 import numpy as np
 
+from audiozoom import dsp
 from audiozoom.blockthresh import (
     CHOICE_DTYPE,
     SNR_CAP,
@@ -21,6 +25,7 @@ from audiozoom.simulate import (
     MixtureSpec,
     SourceSpec,
     _control_curve,
+    echo_taps_for_t60,
     speech_like,
     synthesize_mixture,
     two_mic_array,
@@ -124,6 +129,25 @@ def default_scene(
         echo_taps=echo_taps,
     )
     return synthesize_mixture(spec, two_mic_array(spacing_m), seed=seed)
+
+
+@functools.cache
+def echoic_scene_10s():
+    """default_scene(1) at 10 s with echo (T60 0.3 s), built once per session:
+    long enough that the whole-grid passes split into spans."""
+    return default_scene(seed=1, duration_s=10.0, echo_taps=echo_taps_for_t60(0.3))
+
+
+@contextlib.contextmanager
+def usable_cpus(count):
+    """Make the package see `count` usable CPUs, so a long enough whole-grid
+    pass splits into that many spans."""
+    saved = dsp._usable_cpus
+    dsp._usable_cpus = lambda: count
+    try:
+        yield
+    finally:
+        dsp._usable_cpus = saved
 
 
 def white_noise_buffer(length, seed, rate=FS):

@@ -12,9 +12,9 @@ import sys
 from pathlib import Path
 
 import pytest
-from helpers import default_scene
+from helpers import default_scene, echoic_scene_10s, usable_cpus
 
-from audiozoom import pipeline
+from audiozoom import dsp, pipeline
 from audiozoom.pipeline import PipelineConfig
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -110,3 +110,25 @@ def test_traced_mpdr_zoom_counts_transforms():
     assert names.count("dsp.stft") == 2
     assert names.count("dsp.istft") == 1
     assert names.count("gjbf.fdaf_gjbf") == 0
+
+
+def test_traced_split_mpdr_zoom_keeps_its_spans_on_the_op_thread():
+    # At 10 s the whole-grid passes split into spans on threads of their own.
+    # Those threads call only private code and NumPy, so the counts the
+    # benchmark pins stay exact, and every recorded span is on the op's thread.
+    spans = _load_spans()
+    mixture = echoic_scene_10s().mixture
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        with usable_cpus(2):
+            result = tracer.run_op(pipeline.run_zoom, mixture, PipelineConfig(beamformer="mpdr"))
+            assert len(dsp._spans(result.beamformed_spec.frame_count)) == 2
+    finally:
+        tracer.remove()
+    assert spans.unresolved_parents(tracer.spans) == []
+    names = [span.name for span in tracer.spans]
+    assert names.count("dsp.stft") == 2
+    assert names.count("dsp.istft") == 1
+    (op,) = [span for span in tracer.spans if span.name == spans.OP_SPAN]
+    assert {span.thread for span in tracer.spans} == {op.thread}

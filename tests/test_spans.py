@@ -1,0 +1,241 @@
+"""Whole-grid passes split into spans, one per usable CPU, with byte-equal results.
+
+Every test here runs on one 10 s echoic scene, long enough that the STFT,
+the MPDR design and apply, the residual variance, the post-filter and the
+iSTFT all split. The CPU count is patched, so the span counts are the same
+on any host.
+"""
+
+import dataclasses
+import sys
+import threading
+import time
+import warnings
+
+import numpy as np
+import pytest
+from helpers import default_scene, echoic_scene_10s, usable_cpus
+
+from audiozoom import dsp
+from audiozoom.blockthresh import residual_variance
+from audiozoom.dsp import AudioBuffer, StftParams, stft
+from audiozoom.mpdr import apply_mpdr, design_mpdr
+from audiozoom.pipeline import PipelineConfig, evaluate_scene, run_zoom
+
+SPAN_COUNTS = (1, 2, 3)
+HOPS = (256, 128)
+CONFIGS = {
+    "mpdr": PipelineConfig(),
+    "gjbf": PipelineConfig(beamformer="gjbf"),
+    "gjbf-auto": PipelineConfig(beamformer="gjbf", gjbf_auto_lengths=(100, 200)),
+}
+
+
+@pytest.fixture(scope="module")
+def scene():
+    return echoic_scene_10s()
+
+
+def _arrays(result) -> dict:
+    arrays = {
+        "output": result.output.samples,
+        "beamformed_spec": result.beamformed_spec.coefficients,
+        "sigma2": result.sigma2,
+        "gains": result.block_grid.gains,
+        "choices": result.block_grid.choices,
+    }
+    if result.mpdr_weights is not None:
+        arrays.update(weights=result.mpdr_weights.weights, loading=result.mpdr_weights.loading)
+    return arrays
+
+
+def _assert_same_bytes(got: dict, want: dict):
+    assert got.keys() == want.keys()
+    for name, array in want.items():
+        assert got[name].dtype == array.dtype and got[name].shape == array.shape, name
+        assert got[name].tobytes() == array.tobytes(), name
+
+
+class TestSpanCuts:
+    def test_one_span_per_cpu_aligned_to_chunks(self):
+        frames = 626  # 10 s at the default STFT
+        for count in SPAN_COUNTS:
+            with usable_cpus(count):
+                spans = dsp._spans(frames)
+            assert len(spans) == count
+            assert spans[0][0] == 0 and spans[-1][1] == frames
+            assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+            assert all(start % dsp.CHUNK_FRAMES == 0 for start, _ in spans)
+            assert all(stop - start >= dsp.SPAN_MIN_CHUNKS * dsp.CHUNK_FRAMES for start, stop in spans)
+
+    def test_short_grid_keeps_one_span(self):
+        # 2 s at the default STFT is 125 frames, under two spans' worth of chunks.
+        with usable_cpus(8):
+            assert dsp._spans(125) == [(0, 125)]
+            assert len(dsp._spans(2 * dsp.SPAN_MIN_CHUNKS * dsp.CHUNK_FRAMES)) == 2
+
+    def test_bin_spans_take_their_count_from_the_frames(self):
+        with usable_cpus(3):
+            assert dsp._spans(626, unit=1, size=257) == [(0, 85), (85, 171), (171, 257)]
+            assert dsp._spans(125, unit=1, size=257) == [(0, 257)]
+
+
+class TestRunSpans:
+    def test_first_error_in_span_order_after_every_span_ends(self):
+        finished = []
+
+        def work(first, last):
+            if first == 2:
+                time.sleep(0.05)  # ends well after span 1 has failed
+            finished.append(first)
+            if first >= 1:
+                raise ValueError(f"span {first}")
+
+        with pytest.raises(ValueError, match="span 1"):
+            dsp._run_spans(work, [(0, 1), (1, 2), (2, 3)])
+        assert sorted(finished) == [0, 1, 2]
+
+    def test_spans_run_under_the_callers_error_state(self):
+        seen = []
+
+        def handler(kind, flag):
+            pass
+
+        def work(first, last):
+            seen.append((first, np.geterr(), np.geterrcall(), threading.get_ident()))
+
+        with np.errstate(over="ignore", divide="raise", invalid="call", call=handler):
+            want = np.geterr()
+            dsp._run_spans(work, [(0, 1), (1, 2), (2, 3)])
+        caller = threading.get_ident()
+        assert sorted((first, ident == caller) for first, *_, ident in seen) == [
+            (0, True),
+            (1, False),
+            (2, False),
+        ]
+        assert all(state == want and call is handler for _, state, call, _ in seen)
+
+    def test_no_thread_outlives_the_call(self):
+        before = threading.active_count()
+        dsp._run_spans(lambda first, last: time.sleep(0.01), [(0, 1), (1, 2), (2, 3)])
+        assert threading.active_count() == before
+
+
+@pytest.fixture(scope="module")
+def runs(scene):
+    """Arrays of every configuration, by (hop, span count, configuration name)."""
+    out = {}
+    for hop in HOPS:
+        stft_params = StftParams(512, hop)
+        for count in SPAN_COUNTS:
+            with usable_cpus(count):
+                for name, config in CONFIGS.items():
+                    result = run_zoom(scene.mixture, dataclasses.replace(config, stft=stft_params))
+                    out[hop, count, name] = _arrays(result)
+                report, result = evaluate_scene(
+                    scene.mixture,
+                    scene.target_image,
+                    scene.interference_plus_noise,
+                    PipelineConfig(stft=stft_params),
+                )
+                out[hop, count, "evaluate_scene"] = {
+                    **_arrays(result),
+                    **{f.name: np.float64(getattr(report, f.name)) for f in dataclasses.fields(report)},
+                }
+                out[hop, count, "spans"] = len(dsp._spans(result.beamformed_spec.frame_count))
+    return out
+
+
+@pytest.mark.parametrize("hop", HOPS)
+@pytest.mark.parametrize("name", [*CONFIGS, "evaluate_scene"])
+def test_every_span_count_gives_the_same_bytes(runs, hop, name):
+    assert [runs[hop, count, "spans"] for count in SPAN_COUNTS] == list(SPAN_COUNTS)
+    for count in SPAN_COUNTS[1:]:
+        _assert_same_bytes(runs[hop, count, name], runs[hop, 1, name])
+
+
+def test_concurrent_zooms_match_serial_ones(scene, runs):
+    # Two zooms of three spans each: more threads than this host has CPUs,
+    # switching as often as the interpreter allows.
+    results = [None, None]
+
+    def zoom(index):
+        results[index] = _arrays(run_zoom(scene.mixture))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with usable_cpus(3):
+            threads = [threading.Thread(target=zoom, args=(i,)) for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for arrays in results:
+        _assert_same_bytes(arrays, runs[256, 1, "mpdr"])
+
+
+def test_short_grid_starts_no_thread(monkeypatch):
+    # A 2 s scene, as the benchmark's short_scored runs, stays on the caller's thread.
+    scene = default_scene(seed=1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading, "Thread", refuse)
+    with usable_cpus(8):
+        for beamformer in ("mpdr", "gjbf"):
+            config = PipelineConfig(beamformer=beamformer)
+            run_zoom(scene.mixture, config)
+            evaluate_scene(scene.mixture, scene.target_image, scene.interference_plus_noise, config)
+
+
+class TestErrorsAtSplitLength:
+    """The overflow errors of a split run match the 2 s rows of
+    tests/test_mpdr.py::TestAmplitudeRange, warnings as errors and no warning.
+
+    At 10 s the covariance sums five times the frames, so it already
+    overflows at 1e152: the post-filter row sits at 3e151 here. In the
+    amplitude rows only sums overflow, on the caller's thread; the residual
+    variance case overflows a cell in the second span, on a worker thread.
+    """
+
+    @staticmethod
+    def _error(fn, *args):
+        with pytest.raises(Exception) as info:  # warnings are errors here too
+            fn(*args)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(info.type):
+                fn(*args)
+        assert not caught
+        return info.type, str(info.value)
+
+    @pytest.mark.parametrize(
+        "a_short, a_long, match",
+        [(1e152, 3e151, "post-filter's mean power"), (1e153, 1e153, "covariance")],
+    )
+    def test_amplitude_rows(self, scene, a_short, a_long, match):
+        short = default_scene(seed=1).mixture
+        want = self._error(run_zoom, AudioBuffer(a_short * short.samples, short.sample_rate))
+        assert want[0] is ValueError and match in want[1]
+        with usable_cpus(2):
+            got = self._error(run_zoom, AudioBuffer(a_long * scene.mixture.samples, 16000))
+        assert got == want
+
+    def test_residual_variance_overflow(self, scene):
+        def loud_last_frame(mixture):
+            y1, y2 = stft(mixture.channel(0)), stft(mixture.channel(1))
+            z = apply_mpdr(y1, y2, design_mpdr(y1, y2))
+            loud = y1.coefficients.copy()
+            loud[:, -1] *= 1e200
+            return y1.with_coefficients(loud), y2, z
+
+        want = self._error(residual_variance, *loud_last_frame(default_scene(seed=1).mixture))
+        assert want[0] is ValueError and "residual variance" in want[1]
+        with usable_cpus(2):
+            got = self._error(residual_variance, *loud_last_frame(scene.mixture))
+        assert got == want
