@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import Spectrogram, _chunk_frames, _run_spans, _spans
+from .dsp import Spectrogram, _each_chunk, _run_spans, _spans
 
 SNR_CAP = 1e6
 VARIANCE_FLOOR_FACTOR = 1e-12
@@ -99,36 +99,28 @@ def residual_variance(y1: Spectrogram, y2: Spectrogram, z: Spectrogram) -> np.nd
     if len(shapes) != 1:
         raise ValueError("spectrogram dimensions must match")
     bins, frames = z.coefficients.shape
-    # Column blocks of the (F-ordered) spectrograms through two reused chunk
-    # buffers per span, so no whole-grid temporary is faulted in. |.|^2 squares
-    # the magnitude in place (x **= 2 is x*x, the same bits as np.abs(d) ** 2).
+    # Column chunks of the (F-ordered) spectrograms through two scratch buffers,
+    # whose transposes are F-ordered too, so no whole-grid temporary is faulted
+    # in. |.|^2 squares in place (x **= 2 is x*x, the same bits as np.abs(d) ** 2).
     sigma2 = np.empty((bins, frames), order="F")
-    spans = _spans(frames)
-    step = _chunk_frames(spans)
 
-    def variance(first, last):
-        diff = np.empty((bins, min(step, last - first)), dtype=np.complex128, order="F")
-        square = np.empty((bins, min(step, last - first)), order="F")
-        for start in range(first, last, step):
-            cols = slice(start, min(start + step, last))
-            out = sigma2[:, cols]
-            d = diff[:, : out.shape[1]]
-            s = square[:, : out.shape[1]]
-            np.subtract(y1.coefficients[:, cols], z.coefficients[:, cols], out=d)
-            np.abs(d, out=out)
-            out **= 2
-            np.subtract(y2.coefficients[:, cols], z.coefficients[:, cols], out=d)
-            np.abs(d, out=s)
-            s **= 2
-            out += s
-            out *= 0.5
-            if not np.all(np.isfinite(out)):
-                raise ValueError(
-                    "input level overflows the residual variance; scale the input down"
-                )
+    def variance(span, start, stop, diff, square):
+        out = sigma2[:, start:stop]
+        d, s = diff.T, square.T
+        np.subtract(y1.coefficients[:, start:stop], z.coefficients[:, start:stop], out=d)
+        np.abs(d, out=out)
+        out **= 2
+        np.subtract(y2.coefficients[:, start:stop], z.coefficients[:, start:stop], out=d)
+        np.abs(d, out=s)
+        s **= 2
+        out += s
+        out *= 0.5
+        if not np.all(np.isfinite(out)):
+            raise ValueError("input level overflows the residual variance; scale the input down")
 
+    scratch = (lambda n: np.empty((n, bins), dtype=np.complex128), lambda n: np.empty((n, bins)))
     with np.errstate(over="ignore"):
-        _run_spans(variance, spans)
+        _each_chunk(frames, variance, *scratch)
     return sigma2
 
 
@@ -311,13 +303,13 @@ def block_threshold_gains(
     mb, mf = params.macro_bins, params.macro_frames
     power = np.empty_like(coeffs, dtype=np.float64)
 
-    def square(first, last):
-        cells = power[:, first:last]
-        np.abs(coeffs[:, first:last], out=cells)
+    def square(span, start, stop):
+        cells = power[:, start:stop]
+        np.abs(coeffs[:, start:stop], out=cells)
         cells **= 2
 
     with np.errstate(over="ignore"):  # variance_floor rejects an overflowed power
-        _run_spans(square, _spans(frames))
+        _each_chunk(frames, square)
     floor = variance_floor(power)
     gains = np.empty_like(power)
     choices = np.empty((-(-bins // mb), -(-frames // mf)), dtype=CHOICE_DTYPE)

@@ -41,13 +41,6 @@ def _spans(frames: int, unit: int = CHUNK_FRAMES, size: int | None = None) -> li
     return list(zip(cuts[:-1], cuts[1:]))
 
 
-def _chunk_frames(spans: list) -> int:
-    # Frames per chunk buffer inside each of a pass's spans: together the spans
-    # hold one CHUNK_FRAMES buffer, so a pass's scratch does not grow with the
-    # CPU count. Rows transform independently, so the chunking changes no bit.
-    return -(-CHUNK_FRAMES // len(spans))
-
-
 def _run_spans(work, spans: list) -> None:
     """Run work(start, stop) for every span: the first on this thread, the rest
     on threads joined before returning.
@@ -82,6 +75,32 @@ def _run_spans(work, spans: list) -> None:
     for exc in errors:
         if exc is not None:
             raise exc
+
+
+def _each_chunk(frames: int, body, *scratch, lead: int = 0) -> None:
+    """Run body(span, start, stop, *buffers) on every chunk of range(frames).
+
+    Each of the _spans walks its chunks in order: first the `lead` frames before
+    it (none before 0), then its own. A chunk holds at most ceil(CHUNK_FRAMES /
+    spans) frames, so a pass's scratch does not grow with the CPU count; a body's
+    result must not depend on the chunking. Each scratch factory makes a span's
+    buffer, frames first, for its largest chunk, once per span and on this thread
+    (the C allocator keeps what a span thread allocates resident in that thread's
+    arena); the body gets each buffer's first stop - start frames.
+    """
+    spans = _spans(frames)
+    step = -(-CHUNK_FRAMES // len(spans))
+    starts = {first: max(first - lead, 0) for first, _ in spans}
+    buffers = {
+        first: [make(min(step, last - starts[first])) for make in scratch] for first, last in spans
+    }
+
+    def walk(first, last):
+        cuts = [*range(starts[first], first, step), *range(first, last, step), last]
+        for start, stop in zip(cuts, cuts[1:]):
+            body((first, last), start, stop, *[b[: stop - start] for b in buffers[first]])
+
+    _run_spans(walk, spans)
 
 
 def make_window(kind: str, length: int) -> np.ndarray:
@@ -210,26 +229,19 @@ def stft(signal: AudioBuffer, params: StftParams = StftParams()) -> Spectrogram:
     n_frames = 1 + -(-(x.size - frame) // hop)
     inside = np.lib.stride_tricks.sliding_window_view(x, frame)[::hop]
     window = make_window(params.window, frame)
-    # Windowed frames go through one reused chunk buffer per span; each chunk's
-    # rfft writes its rows of the (frames, bins) result, returned transposed.
+    # Each chunk's rfft writes its rows of the (frames, bins) result, returned transposed.
     coeffs = np.empty((n_frames, params.bin_count), dtype=np.complex128)
-    spans = _spans(n_frames)
-    step = _chunk_frames(spans)
 
-    def transform(first, last):
-        chunk = np.empty((min(step, last - first), frame))
-        for start in range(first, last, step):
-            stop = min(start + step, last)
-            block = chunk[: stop - start]
-            whole = inside[start:stop]
-            np.multiply(whole, window, out=block[: len(whole)])
-            if len(whole) < len(block):
-                rest = x[(n_frames - 1) * hop :]
-                block[-1] = 0.0
-                np.multiply(rest, window[: rest.size], out=block[-1, : rest.size])
-            np.fft.rfft(block, axis=1, out=coeffs[start:stop])
+    def transform(span, start, stop, block):
+        whole = inside[start:stop]
+        np.multiply(whole, window, out=block[: len(whole)])
+        if len(whole) < len(block):
+            rest = x[(n_frames - 1) * hop :]
+            block[-1] = 0.0
+            np.multiply(rest, window[: rest.size], out=block[-1, : rest.size])
+        np.fft.rfft(block, axis=1, out=coeffs[start:stop])
 
-    _run_spans(transform, spans)
+    _each_chunk(n_frames, transform, lambda n: np.empty((n, frame)))
     return Spectrogram(coeffs.T, params, signal.sample_rate)
 
 
@@ -271,9 +283,11 @@ def istft(spec: Spectrogram, length: int | None = None) -> AudioBuffer:
 
     Args:
         spec: one-sided STFT grid.
-        length: optional crop of the output to this many samples.
+        length: optional output length, >= 0; the output is cropped or zero-padded to it.
     """
     params = spec.params
+    if length is not None and length < 0:
+        raise ValueError("length must be nonnegative")
     if not check_cola(params):
         raise ValueError("window does not satisfy COLA")
     frame, hop = params.frame_length, params.hop_length
@@ -285,24 +299,17 @@ def istft(spec: Spectrogram, length: int | None = None) -> AudioBuffer:
     parts = frame // hop
     out = np.zeros((n_frames + parts - 1, hop))
     coeffs = spec.coefficients.T
-    spans = _spans(n_frames)
-    step = _chunk_frames(spans)
 
-    def synthesize(first, last):
-        # The span owns output rows first..last-1 (the last span, the rest too).
+    def synthesize(span, start, stop, block):
+        # A span owns output rows first..last-1 (the last span, the rest too).
         # The parts - 1 frames before first reach them as well, so it transforms
         # those itself: every row sums its frames in frame order, as in one span.
-        rows = out[first : last if last < n_frames else None]
-        lead = max(first - parts + 1, 0)
-        cuts = [*range(lead, first, step), *range(first, last, step), last]
-        chunk = np.empty((min(step, last - lead), frame))
-        for start, stop in zip(cuts, cuts[1:]):
-            block = chunk[: stop - start]
-            np.fft.irfft(coeffs[start:stop], n=frame, axis=1, out=block)
-            block *= window
-            _overlap_add(block, rows, start - first)
+        first, last = span
+        np.fft.irfft(coeffs[start:stop], n=frame, axis=1, out=block)
+        block *= window
+        _overlap_add(block, out[first : last if last < n_frames else None], start - first)
 
-    _run_spans(synthesize, spans)
+    _each_chunk(n_frames, synthesize, lambda n: np.empty((n, frame)), lead=parts - 1)
     # Between its first and last parts-1 rows the envelope repeats one row, so
     # the envelope of min(n_frames, parts) frames holds each distinct row once:
     # the head rows, the interior row and the tail rows.

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import Spectrogram, _chunk_frames, _run_spans, _spans
+from .dsp import Spectrogram, _each_chunk, _run_spans, _spans
 
 LOADING_FACTOR = 1e-2
 
@@ -44,9 +44,7 @@ def estimate_covariance(spec_ch1: Spectrogram, spec_ch2: Spectrogram) -> np.ndar
         raise ValueError("no frames")
     r11, r12, r22 = np.empty((3, bins), dtype=np.complex128)
     spans = _spans(frames, unit=1, size=bins)
-    # Each span's conjugates go to a buffer of its own, allocated on this
-    # thread: the C allocator keeps what a span thread allocates resident in
-    # that thread's arena between calls.
+    # Each span's conjugates go to a buffer of its own, made on this thread (see dsp._each_chunk).
     conjs = {first: np.empty_like(y2[first:last]) for first, last in spans}
 
     def products(first, last):
@@ -123,22 +121,15 @@ def apply_mpdr(spec_ch1: Spectrogram, spec_ch2: Spectrogram, weights: MpdrWeight
     if weights.weights.shape[0] != y1.shape[0]:
         raise ValueError("weights do not match the spectrogram bin count")
     w = weights.weights.conj()
-    # Column chunks of the (F-ordered) result, the second channel's terms
-    # through one reused chunk buffer per span.
+    # Column chunks of the (F-ordered) result; the second channel's terms go
+    # through scratch, whose transpose is F-ordered too.
     bins, frames = y1.shape
     out = np.empty((bins, frames), dtype=np.complex128, order="F")
-    spans = _spans(frames)
-    step = _chunk_frames(spans)
 
-    def beamform(first, last):
-        second = np.empty((bins, min(step, last - first)), dtype=np.complex128, order="F")
-        for start in range(first, last, step):
-            cols = slice(start, min(start + step, last))
-            chunk = out[:, cols]
-            terms = second[:, : chunk.shape[1]]
-            np.einsum("f,fk->fk", w[:, 0], y1[:, cols], out=chunk)
-            np.einsum("f,fk->fk", w[:, 1], y2[:, cols], out=terms)
-            chunk += terms
+    def beamform(span, start, stop, second):
+        chunk = out[:, start:stop]
+        np.einsum("f,fk->fk", w[:, 0], y1[:, start:stop], out=chunk)
+        chunk += np.einsum("f,fk->fk", w[:, 1], y2[:, start:stop], out=second.T)
 
-    _run_spans(beamform, spans)
+    _each_chunk(frames, beamform, lambda n: np.empty((n, bins), dtype=np.complex128))
     return spec_ch1.with_coefficients(out)

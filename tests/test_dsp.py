@@ -219,6 +219,13 @@ class TestIstftMatchesReference:
         assert got.shape == (1, x.size + delta)
         assert np.array_equal(got, istft_reference(spec, length=x.size + delta).samples)
 
+    def test_negative_length_rejected(self):
+        # Slicing would take it as a crop from the end: out[:-5].
+        spec = stft(AudioBuffer(np.random.default_rng(5).standard_normal(4000), 16000))
+        with pytest.raises(ValueError, match="length must be nonnegative"):
+            istft(spec, length=-5)
+        assert istft(spec, length=0).length == 0
+
 
 class TestFftConvolve:
     def test_identity_kernel(self):

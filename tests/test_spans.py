@@ -18,7 +18,7 @@ from helpers import default_scene, echoic_scene_10s, usable_cpus
 
 from audiozoom import dsp
 from audiozoom.blockthresh import residual_variance
-from audiozoom.dsp import AudioBuffer, StftParams, stft
+from audiozoom.dsp import AudioBuffer, StftParams, istft, stft
 from audiozoom.mpdr import apply_mpdr, design_mpdr
 from audiozoom.pipeline import PipelineConfig, evaluate_scene, run_zoom
 
@@ -119,6 +119,67 @@ class TestRunSpans:
         before = threading.active_count()
         dsp._run_spans(lambda first, last: time.sleep(0.01), [(0, 1), (1, 2), (2, 3)])
         assert threading.active_count() == before
+
+
+class TestEachChunk:
+    FRAMES = 626
+
+    @pytest.mark.parametrize("lead", [0, 3, 63])
+    @pytest.mark.parametrize("count", SPAN_COUNTS)
+    def test_chunks_cover_each_span_once_in_order(self, count, lead):
+        calls, made = [], {"a": [], "b": []}
+
+        def body(span, start, stop, *buffers):
+            calls.append((span, start, stop, buffers))
+
+        def factory(name):
+            def make(n):
+                made[name].append((np.empty((n, 2)), threading.get_ident()))
+                return made[name][-1][0]
+
+            return make
+
+        with usable_cpus(count):
+            spans = dsp._spans(self.FRAMES)
+            dsp._each_chunk(self.FRAMES, body, factory("a"), factory("b"), lead=lead)
+        assert len(spans) == count
+        step = -(-dsp.CHUNK_FRAMES // count)
+        caller = threading.get_ident()
+        for name in made:
+            assert [ident for _, ident in made[name]] == [caller] * count
+        for (first, last), a, b in zip(spans, made["a"], made["b"]):
+            mine = [call for call in calls if call[0] == (first, last)]
+            frames = [v for _, start, stop, _ in mine for v in range(start, stop)]
+            assert frames == list(range(max(first - lead, 0), last))
+            assert first in [start for _, start, _, _ in mine]
+            for _, start, stop, (got_a, got_b) in mine:
+                assert 0 < stop - start <= step
+                assert got_a.base is a[0] and got_b.base is b[0]
+                assert len(got_a) == len(got_b) == stop - start
+
+    def test_empty_grid_calls_no_body(self):
+        def body(*args):
+            raise AssertionError("body called")
+
+        with usable_cpus(3):
+            dsp._each_chunk(0, body, lambda n: np.empty(n), lead=5)
+
+    @pytest.mark.parametrize("count", SPAN_COUNTS[1:])
+    def test_leads_longer_than_a_chunk_give_the_same_bytes(self, count):
+        # Frame 64 at hop 1: each istft span past the first transforms the 63
+        # frames before it, three 22-frame chunks at 3 spans.
+        params = StftParams(64, 1)
+        signal = AudioBuffer(np.random.default_rng(64).standard_normal(700), 16000)
+        with usable_cpus(1):
+            want = stft(signal, params)
+            want_out = istft(want, length=700).samples
+        with usable_cpus(count):
+            assert len(dsp._spans(want.frame_count)) == count
+            got = stft(signal, params)
+            got_out = istft(got, length=700).samples
+        assert -(-dsp.CHUNK_FRAMES // 3) < params.frame_length // params.hop_length - 1
+        assert got.coefficients.tobytes() == want.coefficients.tobytes()
+        assert got_out.tobytes() == want_out.tobytes()
 
 
 @pytest.fixture(scope="module")
