@@ -120,7 +120,8 @@ def _gradient_kernels(frames: np.ndarray, reference: np.ndarray, config: GjbfCon
     spectra = np.fft.rfft(frames)
     power = np.abs(spectra) ** 2
     power[1:] *= 1.0 - POWER_SMOOTHING
-    # scipy.signal.lfilter gives the same bits faster, but importing it costs ~1 s and ~54 MB RSS.
+    # scipy.signal.lfilter gives the same bits faster, but it would bring SciPy back into the
+    # package, whose import costs ~1 s and ~54 MB RSS.
     for k in range(1, len(power)):
         power[k] += POWER_SMOOTHING * power[k - 1]
     # Scale-invariant floor: keeps near-silent blocks (or bins) from blowing

@@ -4,6 +4,7 @@ import contextlib
 import functools
 
 import numpy as np
+from scipy.io import wavfile
 
 from audiozoom import dsp
 from audiozoom.blockthresh import (
@@ -148,6 +149,23 @@ def usable_cpus(count):
         yield
     finally:
         dsp._usable_cpus = saved
+
+
+def read_wav_reference(path):
+    """scipy.io.wavfile form of wav.read_wav, as the package read WAV files
+    before it had its own codec. Serves as the oracle for the reader."""
+    int_scale = {np.dtype(np.int16): 32768.0, np.dtype(np.int32): 2147483648.0}
+    rate, data = wavfile.read(path)
+    data = np.asarray(data)
+    if data.ndim == 1:
+        data = data[:, None]
+    if data.dtype in int_scale:
+        samples = data / int_scale[data.dtype]
+    elif data.dtype in (np.float32, np.float64):
+        samples = data.astype(np.float64)
+    else:
+        raise ValueError(f"unsupported WAV sample format {data.dtype} in {path}")
+    return AudioBuffer(samples.T, int(rate))
 
 
 def white_noise_buffer(length, seed, rate=FS):

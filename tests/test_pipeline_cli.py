@@ -1,6 +1,7 @@
 """End-to-end pipeline and command-line tests."""
 
 import os
+import struct
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -622,6 +623,66 @@ class TestCliEval:
                   "--max-shift", "-5"])
         assert err.value.code == 1
         assert "--max-shift: expected a nonnegative integer, got '-5'" in capsys.readouterr().err
+
+
+# WAV files cut short inside their header: after four bytes of the RIFF size,
+# and two bytes into the fmt chunk.
+_CUT_WAVS = {
+    "riff_size": b"RIFF\x00",
+    "fmt_chunk": b"RIFF" + struct.pack("<I", 28) + b"WAVEfmt " + struct.pack("<I", 16) + b"\x01\x00",
+}
+
+
+class TestCliTruncatedWav:
+    """A WAV cut short inside its header is a data error: exit 2, an
+    `audiozoom:` line naming the file, no traceback and nothing written."""
+
+    @pytest.fixture(params=sorted(_CUT_WAVS))
+    def cut_wav(self, request, tmp_path):
+        path = tmp_path / "cut.wav"
+        path.write_bytes(_CUT_WAVS[request.param])
+        return path
+
+    @staticmethod
+    def _assert_data_error(capsys, path):
+        err = capsys.readouterr().err
+        assert err.startswith(f"audiozoom: {path}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_zoom(self, tmp_path, capsys, cut_wav):
+        out = tmp_path / "o.wav"
+        assert main(["zoom", str(cut_wav), str(out), "--dump", str(tmp_path / "d_")]) == 2
+        self._assert_data_error(capsys, cut_wav)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cut.wav"]
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_eval(self, tmp_path, capsys, cut_wav, position):
+        paths = [tmp_path / "est.wav", tmp_path / "target.wav", tmp_path / "interf.wav"]
+        write_wav(paths[0], AudioBuffer(np.zeros(800), FS))
+        write_wav(paths[1], AudioBuffer(np.zeros((2, 800)), FS))
+        write_wav(paths[2], AudioBuffer(np.zeros((2, 800)), FS))
+        paths[position] = cut_wav
+        report = tmp_path / "report.csv"
+        assert main(["eval", *map(str, paths), "--report", str(report)]) == 2
+        self._assert_data_error(capsys, cut_wav)
+        assert not report.exists()
+
+    def test_sweep(self, tmp_path, capsys, cut_wav):
+        out = tmp_path / "curve.csv"
+        assert main(["sweep", str(cut_wav), "--lengths", "32,64", "--out", str(out)]) == 2
+        self._assert_data_error(capsys, cut_wav)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("role", ["target", "interferer"])
+    def test_simulate_scenario_wav(self, tmp_path, capsys, cut_wav, role):
+        write_wav(tmp_path / "ok.wav", speech_like(0.25, FS, seed=46))
+        target, interferer = ("cut.wav", "ok.wav") if role == "target" else ("ok.wav", "cut.wav")
+        scenario = tmp_path / "scene.txt"
+        scenario.write_text(f"target={target},90\ninterferer={interferer},60\n")
+        prefix = str(tmp_path / "out" / "x_")
+        assert main(["simulate", str(scenario), prefix]) == 2
+        self._assert_data_error(capsys, cut_wav)
+        assert not os.path.exists(os.path.dirname(prefix))
 
 
 class TestCliSweep:
