@@ -115,12 +115,13 @@ def residual_variance(y1: Spectrogram, y2: Spectrogram, z: Spectrogram) -> np.nd
         s **= 2
         out += s
         out *= 0.5
-        if not np.all(np.isfinite(out)):
-            raise ValueError("input level overflows the residual variance; scale the input down")
 
     scratch = (lambda n: np.empty((n, bins), dtype=np.complex128), lambda n: np.empty((n, bins)))
     with np.errstate(over="ignore"):
         _each_chunk(frames, variance, *scratch)
+    # Every cell is >= 0 or NaN, so the largest is finite only when all are.
+    if not np.isfinite(sigma2.max(initial=0.0)):
+        raise ValueError("input level overflows the residual variance; scale the input down")
     return sigma2
 
 

@@ -2,22 +2,27 @@
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import functools
 import os
+import sys
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 WINDOW_KINDS = ("hann", "sqrt_hann", "rect")
-# Frames per reused chunk buffer of the STFT, the iSTFT and the per-cell
-# passes over a spectrogram: the work streams through a buffer that stays in
-# cache, and no grid-sized temporary is faulted in.
-CHUNK_FRAMES = 64
+# Bytes of scratch that the spans of one pass over a spectrogram share (128
+# default STFT frames): the STFT, the iSTFT and the per-cell passes stream
+# through reused chunk buffers that stay in cache, and no grid-sized
+# temporary is faulted in.
+CHUNK_BYTES = 512 * 1024
 # A whole-grid pass splits into one span of frames per usable CPU while every
-# span keeps at least this many chunks; shorter spans would cost more in
-# thread start-up than they save.
-SPAN_MIN_CHUNKS = 3
+# span keeps at least SPAN_MIN_FRAMES frames; shorter spans would cost more
+# in thread start-up than they save. Spans start at multiples of SPAN_UNIT.
+SPAN_UNIT = 64
+SPAN_MIN_FRAMES = 3 * SPAN_UNIT
 
 
 def _usable_cpus() -> int:
@@ -27,16 +32,16 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _spans(frames: int, unit: int = CHUNK_FRAMES, size: int | None = None) -> list:
+def _spans(frames: int, unit: int = SPAN_UNIT, size: int | None = None) -> list:
     """Contiguous (start, stop) spans of range(size), range(frames) by default.
 
     Every start is a multiple of unit, and the spans number one per usable
     CPU, fewer when a span of a frames-long grid would hold under
-    SPAN_MIN_CHUNKS chunks. One span is the whole range.
+    SPAN_MIN_FRAMES frames. One span is the whole range.
     """
     size = frames if size is None else size
     units = -(-size // unit)
-    count = max(1, min(_usable_cpus(), frames // (SPAN_MIN_CHUNKS * CHUNK_FRAMES), units))
+    count = max(1, min(_usable_cpus(), frames // SPAN_MIN_FRAMES, units))
     cuts = [min(size, unit * (units * k // count)) for k in range(count + 1)]
     return list(zip(cuts[:-1], cuts[1:]))
 
@@ -77,19 +82,31 @@ def _run_spans(work, spans: list) -> None:
             raise exc
 
 
+def _chunk_frames(spans: int, frame_bytes: int) -> int:
+    """Frames per chunk of a pass whose scratch takes frame_bytes per frame in
+    each of its spans: ceil(CHUNK_BYTES / (spans * frame_bytes)), so the spans
+    together hold about CHUNK_BYTES whatever the CPU count. A pass without
+    scratch takes each span in one chunk.
+    """
+    return -(-CHUNK_BYTES // (spans * frame_bytes)) if frame_bytes else sys.maxsize
+
+
 def _each_chunk(frames: int, body, *scratch, lead: int = 0) -> None:
     """Run body(span, start, stop, *buffers) on every chunk of range(frames).
 
     Each of the _spans walks its chunks in order: first the `lead` frames before
-    it (none before 0), then its own. A chunk holds at most ceil(CHUNK_FRAMES /
-    spans) frames, so a pass's scratch does not grow with the CPU count; a body's
-    result must not depend on the chunking. Each scratch factory makes a span's
-    buffer, frames first, for its largest chunk, once per span and on this thread
-    (the C allocator keeps what a span thread allocates resident in that thread's
-    arena); the body gets each buffer's first stop - start frames.
+    it (none before 0), then its own. Chunks hold _chunk_frames frames, from
+    the scratch's bytes per frame (each factory called once for one frame); a
+    body's result must not depend on the chunking. Each scratch factory makes a
+    span's buffer, frames first, for its largest chunk, once per span and on
+    this thread (the C allocator keeps what a span thread allocates resident in
+    that thread's arena); the body gets each buffer's first stop - start frames.
+    A body makes no ufunc call with a broadcast or strided multi-dimensional
+    operand outside _small_ufunc_buffers: NumPy iterates such a call through
+    buffers of up to 64 KiB, per span and per call.
     """
     spans = _spans(frames)
-    step = -(-CHUNK_FRAMES // len(spans))
+    step = _chunk_frames(len(spans), sum(make(1).nbytes for make in scratch))
     starts = {first: max(first - lead, 0) for first, _ in spans}
     buffers = {
         first: [make(min(step, last - starts[first])) for make in scratch] for first, last in spans
@@ -147,8 +164,14 @@ class AudioBuffer:
         return self.samples.shape[1] / self.sample_rate
 
     def channel(self, index: int) -> "AudioBuffer":
-        """Single channel as a new mono buffer."""
-        return AudioBuffer(self.samples[index], self.sample_rate)
+        """Single channel as a mono buffer that shares this buffer's samples.
+
+        The samples were checked when this buffer was made, so the view is not
+        scanned again.
+        """
+        mono = copy.copy(self)
+        mono.samples = self.samples[index, None]
+        return mono
 
 
 @dataclass(frozen=True)
@@ -234,7 +257,7 @@ def stft(signal: AudioBuffer, params: StftParams = StftParams()) -> Spectrogram:
 
     def transform(span, start, stop, block):
         whole = inside[start:stop]
-        np.multiply(whole, window, out=block[: len(whole)])
+        np.einsum("ij,j->ij", whole, window, out=block[: len(whole)])
         if len(whole) < len(block):
             rest = x[(n_frames - 1) * hop :]
             block[-1] = 0.0
@@ -243,6 +266,17 @@ def stft(signal: AudioBuffer, params: StftParams = StftParams()) -> Spectrogram:
 
     _each_chunk(n_frames, transform, lambda n: np.empty((n, frame)))
     return Spectrogram(coeffs.T, params, signal.sample_rate)
+
+
+@contextlib.contextmanager
+def _small_ufunc_buffers():
+    # NumPy iterates a ufunc call with a broadcast or a strided multi-dimensional
+    # operand through buffers of up to 64 KiB, per call and per thread; under
+    # this context they hold 256 values (2 KiB). The results are the same: the
+    # buffers only batch the loop.
+    with np.errstate():  # restores the buffer size on exit
+        np.setbufsize(256)
+        yield
 
 
 def _overlap_add(frames: np.ndarray, out: np.ndarray, first: int = 0) -> None:
@@ -306,8 +340,9 @@ def istft(spec: Spectrogram, length: int | None = None) -> AudioBuffer:
         # those itself: every row sums its frames in frame order, as in one span.
         first, last = span
         np.fft.irfft(coeffs[start:stop], n=frame, axis=1, out=block)
-        block *= window
-        _overlap_add(block, out[first : last if last < n_frames else None], start - first)
+        with _small_ufunc_buffers():  # a broadcast window row, then strided slices
+            block *= window
+            _overlap_add(block, out[first : last if last < n_frames else None], start - first)
 
     _each_chunk(n_frames, synthesize, lambda n: np.empty((n, frame)), lead=parts - 1)
     # Between its first and last parts-1 rows the envelope repeats one row, so
@@ -316,12 +351,13 @@ def istft(spec: Spectrogram, length: int | None = None) -> AudioBuffer:
     head = min(n_frames, parts)
     env = _synthesis_envelope(window, hop, head).reshape(-1, hop)
     live = env > 1e-12 * env.max()
-    for rows, env_rows in (
-        (slice(0, head - 1), slice(0, head - 1)),
-        (slice(head - 1, n_frames), head - 1),
-        (slice(n_frames, None), slice(head, None)),
-    ):
-        np.divide(out[rows], env[env_rows], out=out[rows], where=live[env_rows])
+    with _small_ufunc_buffers():  # the interior row and its mask are broadcast
+        for rows, env_rows in (
+            (slice(0, head - 1), slice(0, head - 1)),
+            (slice(head - 1, n_frames), head - 1),
+            (slice(n_frames, None), slice(head, None)),
+        ):
+            np.divide(out[rows], env[env_rows], out=out[rows], where=live[env_rows])
     out = out.reshape(-1)
     if length is not None:
         if length <= out.size:

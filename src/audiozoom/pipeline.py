@@ -216,7 +216,8 @@ def evaluate_scene(
 
 def normalize_peak(buffer: AudioBuffer) -> tuple:
     """Scale a buffer so its peak sits at OUTPUT_PEAK_DBFS; returns (buffer, gain)."""
-    peak = float(np.max(np.abs(buffer.samples)))
+    x = buffer.samples
+    peak = float(max(x.max(), -x.min()))  # max |x| without an |x| temporary
     if peak == 0.0:
         return buffer, 1.0
     gain = 10.0 ** (OUTPUT_PEAK_DBFS / 20.0) / peak

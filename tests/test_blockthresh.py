@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from helpers import FS, block_threshold_reference, default_scene
+from helpers import FS, block_threshold_reference, default_scene, usable_cpus
 
 from audiozoom import blockthresh
 from audiozoom.blockthresh import (
@@ -17,7 +17,7 @@ from audiozoom.blockthresh import (
     enumerate_partitions,
     residual_variance,
 )
-from audiozoom.dsp import CHUNK_FRAMES, AudioBuffer, Spectrogram, StftParams, stft
+from audiozoom.dsp import AudioBuffer, Spectrogram, StftParams, _chunk_frames, stft
 from audiozoom.mpdr import apply_mpdr, design_mpdr
 from audiozoom.pipeline import PipelineConfig, run_zoom
 from audiozoom.simulate import echo_taps_for_t60
@@ -64,36 +64,57 @@ class TestResidualVariance:
         mk = lambda: (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).T
         return _spec(mk(), 2 * (bins - 1)), _spec(mk(), 2 * (bins - 1)), _spec(mk(), 2 * (bins - 1))
 
-    # 3749 frames is 60 s at the default STFT.
-    @pytest.mark.parametrize("frames", [1, CHUNK_FRAMES - 1, CHUNK_FRAMES, CHUNK_FRAMES + 1, 3749])
+    # Frames per one-span chunk: a complex and a real scratch column of 257
+    # bins per frame. 3749 frames is 60 s at the default STFT.
+    CHUNK = _chunk_frames(1, 24 * 257)
+
+    @pytest.mark.parametrize(
+        "frames", sorted({1, 63, 64, 65, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 3749})
+    )
     def test_matches_formula_across_chunk_edges(self, frames):
         y1, y2, z = self._f_ordered(frames, frames)
         d1 = np.abs(y1.coefficients - z.coefficients) ** 2
         d2 = np.abs(y2.coefficients - z.coefficients) ** 2
         assert np.array_equal(residual_variance(y1, y2, z), 0.5 * (d1 + d2))
 
-    def test_overflow_in_last_chunk_is_value_error(self):
-        y1, y2, z = self._f_ordered(6, 2 * CHUNK_FRAMES + 5)
+    def _assert_overflow_raises(self, frame):
+        # Three chunks; one frame made loud enough that its cells overflow.
+        y1, y2, z = self._f_ordered(6, 2 * self.CHUNK + 5)
         loud = y1.coefficients.copy()
-        loud[:, -1] *= 1e200
+        loud[:, frame] *= 1e200
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(ValueError, match="input level overflows the residual variance"):
                 residual_variance(y1.with_coefficients(loud), y2, z)
         assert not caught
 
+    def test_overflow_in_last_chunk_is_value_error(self):
+        self._assert_overflow_raises(-1)
+
+    def test_overflow_in_first_chunk_is_value_error(self):
+        self._assert_overflow_raises(0)
+
+    def test_nan_cell_is_value_error(self):
+        y1, y2, z = self._f_ordered(8, 20)
+        bad = y1.coefficients.copy()
+        bad[3, 7] = np.nan
+        with pytest.raises(ValueError, match="input level overflows the residual variance"):
+            residual_variance(y1.with_coefficients(bad), y2, z)
+
     def test_peak_memory_in_output_sizes(self):
         # tracemalloc peak over the output's bytes on a 10 s grid (624 frames at
-        # the default STFT). Whole-grid temporaries read 4.13; the chunk buffers
-        # read 1.32.
+        # the default STFT), at 1, 2 and 3 spans. Whole-grid temporaries read
+        # 4.13; the chunk buffers read 1.43-1.44 (CHUNK_BYTES of scratch).
         y1, y2, z = self._f_ordered(7, 624)
-        tracemalloc.start()
-        try:
-            sigma2 = residual_variance(y1, y2, z)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.5 * sigma2.nbytes
+        for count in (1, 2, 3):
+            with usable_cpus(count):
+                tracemalloc.start()
+                try:
+                    sigma2 = residual_variance(y1, y2, z)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert peak <= 1.5 * sigma2.nbytes, count
 
     @pytest.mark.parametrize("a", [1e154, 1e200])
     def test_overflow_is_value_error(self, a):

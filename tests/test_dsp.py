@@ -4,10 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import istft_reference
+from helpers import istft_reference, usable_cpus
 
+from audiozoom import dsp
 from audiozoom.dsp import (
-    CHUNK_FRAMES,
     AudioBuffer,
     Spectrogram,
     StftParams,
@@ -26,17 +26,29 @@ def _interior(a, b, margin):
 
 def _size_for_frames(frame, hop, frames, tail):
     # Samples that make exactly `frames` frames; with a tail the last frame
-    # misses half a hop and is zero-padded.
+    # misses half a hop and is zero-padded. Frames given as (chunks, offset)
+    # count chunks of a one-span stft or istft pass (8 bytes of scratch per
+    # sample of a frame).
+    if isinstance(frames, tuple):
+        chunks, offset = frames
+        frames = chunks * dsp._chunk_frames(1, 8 * frame) + offset
     size = (frames - 1) * hop + frame - (hop // 2 if tail else 0)
     assert 1 + -(-(size - frame) // hop) == frames
     return size
 
 
-# Sizes whose frame counts sit on both sides of one and two chunk edges, as
-# (frames, whether the last frame is zero-padded).
+# Sizes whose frame counts sit on both sides of the 64-frame span unit and of
+# one and two chunks of the params' frame length, as (frames, whether the last
+# frame is zero-padded).
 CHUNK_EDGE_SIZES = [
-    pytest.param((frames, tail), id=f"{frames}frames" + ("+tail" if tail else ""))
-    for frames in (CHUNK_FRAMES - 1, CHUNK_FRAMES, CHUNK_FRAMES + 1, 2 * CHUNK_FRAMES + 1)
+    pytest.param((frames, tail), id=f"{name}" + ("+tail" if tail else ""))
+    for frames, name in [
+        *[(n, f"{n}frames") for n in (63, 64, 65, 129)],
+        ((1, -1), "1chunk-1"),
+        ((1, 0), "1chunk"),
+        ((1, 1), "1chunk+1"),
+        ((2, 1), "2chunks+1"),
+    ]
     for tail in (False, True)
 ]
 
@@ -197,18 +209,28 @@ class TestIstftMatchesReference:
 
     def test_peak_memory_in_output_sizes(self):
         # tracemalloc peak over the output's bytes, 10 s at the default STFT
-        # (624 frames). The whole-grid irfft frame stack and envelope read 4.13;
-        # the chunk buffer reads 1.34.
+        # (624 frames), at 1, 2 and 3 spans. The whole-grid irfft frame stack and
+        # envelope read 4.13. The chunk buffers read 1.42-1.43: the output,
+        # CHUNK_BYTES of scratch, and no 64 KiB ufunc buffer per span.
         x = np.random.default_rng(4).standard_normal(160000)
         spec = stft(AudioBuffer(x, 16000))
         istft(spec, length=x.size)  # first-call caches are not the call's memory
-        tracemalloc.start()
-        try:
-            out = istft(spec, length=x.size)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.5 * out.samples.nbytes
+        for count in (1, 2, 3):
+            with usable_cpus(count):
+                tracemalloc.start()
+                try:
+                    out = istft(spec, length=x.size)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert peak <= 1.5 * out.samples.nbytes, count
+
+    def test_ufunc_buffer_size_is_restored(self):
+        # istft shrinks NumPy's ufunc buffers inside its chunk bodies only.
+        spec = stft(AudioBuffer(np.random.default_rng(6).standard_normal(8000), 16000))
+        before = np.getbufsize()
+        istft(spec)
+        assert np.getbufsize() == before
 
     @pytest.mark.parametrize("frame, hop, window", ISTFT_CONFIGS)
     @pytest.mark.parametrize("delta", [-5, 100])
@@ -272,17 +294,19 @@ class TestStftMatchesGather:
 
     def test_peak_memory_in_output_sizes(self):
         # tracemalloc peak over the output's bytes, 10 s at the default STFT
-        # (624 frames). The zero-padded copy and the windowed frame stack read
-        # 2.50; the chunk buffer reads 1.16.
+        # (624 frames), at 1, 2 and 3 spans. The zero-padded copy and the
+        # windowed frame stack read 2.50; the chunk buffers read 1.21.
         signal = AudioBuffer(np.random.default_rng(3).standard_normal(160000), 16000)
         stft(signal)
-        tracemalloc.start()
-        try:
-            spec = stft(signal)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.3 * spec.coefficients.nbytes
+        for count in (1, 2, 3):
+            with usable_cpus(count):
+                tracemalloc.start()
+                try:
+                    spec = stft(signal)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert peak <= 1.3 * spec.coefficients.nbytes, count
 
 
 class TestFastFftLength:
@@ -340,3 +364,18 @@ class TestAudioBuffer:
     def test_channel_view(self):
         buf = AudioBuffer(np.arange(20.0).reshape(2, 10), 8000)
         assert buf.channel(1).samples[0, 0] == 10.0
+
+    @pytest.mark.parametrize("index, row", [(0, 0), (1, 1), (-1, 1), (-2, 0)])
+    def test_channel_shares_the_parents_samples(self, index, row):
+        buf = AudioBuffer(np.arange(20.0).reshape(2, 10), 8000)
+        mono = buf.channel(index)
+        assert isinstance(mono, AudioBuffer) and mono.sample_rate == 8000
+        assert mono.samples.shape == (1, 10) and mono.samples.dtype == np.float64
+        assert np.shares_memory(mono.samples, buf.samples)
+        assert np.array_equal(mono.samples[0], buf.samples[row])
+        assert mono.channel_count == 1 and mono.length == 10
+
+    @pytest.mark.parametrize("index", [2, -3])
+    def test_channel_out_of_range(self, index):
+        with pytest.raises(IndexError):
+            AudioBuffer(np.zeros((2, 10)), 8000).channel(index)

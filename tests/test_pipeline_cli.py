@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import FS, block_threshold_reference, default_scene, run_zoom_reference
+from helpers import FS, block_threshold_reference, default_scene, run_zoom_reference, usable_cpus
 from scipy.io import wavfile
 
 from audiozoom import gjbf, pipeline
@@ -94,6 +94,19 @@ class TestRunZoom:
         normalized, gain = normalize_peak(buf)
         assert np.max(np.abs(normalized.samples)) == pytest.approx(10 ** (-1 / 20), rel=1e-12)
         assert gain > 1.0
+
+    @pytest.mark.parametrize("peak_sign", [-1.0, 1.0, 0.0])
+    def test_normalize_peak_matches_the_abs_form(self, peak_sign):
+        # Oracle: the peak as np.max(np.abs(x)), as normalize_peak took it before.
+        x = np.random.default_rng(9).uniform(-0.3, 0.3, (2, 1000))
+        x[1, 517] = 0.7 * peak_sign
+        if peak_sign == 0.0:
+            x[:] = 0.0
+        peak = float(np.max(np.abs(x)))
+        want_gain = 1.0 if peak == 0.0 else 10.0 ** (pipeline.OUTPUT_PEAK_DBFS / 20.0) / peak
+        normalized, gain = normalize_peak(AudioBuffer(x, FS))
+        assert gain == want_gain
+        assert normalized.samples.tobytes() == (x * want_gain if peak else x).tobytes()
 
 
 FROZEN_GJBF_CONFIGS = {
@@ -265,7 +278,9 @@ class TestBeamformedWaveform:
     # the iSTFT and the MPDR apply working through one chunk buffer each it
     # reads 3.7 and 5.2. With the channel spectra built before the length sweep
     # gjbf-auto read about 12; with the candidates on a pool of up to four
-    # threads it read 10.3, and run one at a time it reads 7.3.
+    # threads it read 10.3, and run one at a time it reads 7.3. With chunks
+    # sized by CHUNK_BYTES, mpdr and gjbf read 3.74-3.75 and 5.23-5.24 at 1, 2
+    # and 3 spans.
     @pytest.mark.parametrize(
         "beamformer, bound", [("mpdr", 4.0), ("gjbf", 5.5), ("gjbf-auto", 8.0)]
     )
@@ -276,13 +291,15 @@ class TestBeamformedWaveform:
         else:
             config = PipelineConfig(beamformer=beamformer)
         run_zoom(mixture, config)  # first-call caches are not the run's memory
-        tracemalloc.start()
-        try:
-            result = run_zoom(mixture, config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound * result.beamformed_spec.coefficients.nbytes
+        for count in (1, 2, 3):
+            with usable_cpus(count):
+                tracemalloc.start()
+                try:
+                    result = run_zoom(mixture, config)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert peak <= bound * result.beamformed_spec.coefficients.nbytes, count
 
 
 def _write_scene_inputs(tmp_path, seed=30, duration=1.0):

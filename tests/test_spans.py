@@ -65,14 +65,14 @@ class TestSpanCuts:
             assert len(spans) == count
             assert spans[0][0] == 0 and spans[-1][1] == frames
             assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
-            assert all(start % dsp.CHUNK_FRAMES == 0 for start, _ in spans)
-            assert all(stop - start >= dsp.SPAN_MIN_CHUNKS * dsp.CHUNK_FRAMES for start, stop in spans)
+            assert all(start % dsp.SPAN_UNIT == 0 for start, _ in spans)
+            assert all(stop - start >= dsp.SPAN_MIN_FRAMES for start, stop in spans)
 
     def test_short_grid_keeps_one_span(self):
-        # 2 s at the default STFT is 125 frames, under two spans' worth of chunks.
+        # 2 s at the default STFT is 125 frames, under two spans' worth of frames.
         with usable_cpus(8):
             assert dsp._spans(125) == [(0, 125)]
-            assert len(dsp._spans(2 * dsp.SPAN_MIN_CHUNKS * dsp.CHUNK_FRAMES)) == 2
+            assert len(dsp._spans(2 * dsp.SPAN_MIN_FRAMES)) == 2
 
     def test_bin_spans_take_their_count_from_the_frames(self):
         with usable_cpus(3):
@@ -127,14 +127,17 @@ class TestEachChunk:
     @pytest.mark.parametrize("lead", [0, 3, 63])
     @pytest.mark.parametrize("count", SPAN_COUNTS)
     def test_chunks_cover_each_span_once_in_order(self, count, lead):
+        # 10 KiB of scratch per frame: 52, 26 and 18 frames per chunk at 1, 2
+        # and 3 spans, so a 63-frame lead takes more than one chunk.
         calls, made = [], {"a": [], "b": []}
+        widths = {"a": 512, "b": 768}
 
         def body(span, start, stop, *buffers):
             calls.append((span, start, stop, buffers))
 
         def factory(name):
             def make(n):
-                made[name].append((np.empty((n, 2)), threading.get_ident()))
+                made[name].append((np.empty((n, widths[name])), threading.get_ident()))
                 return made[name][-1][0]
 
             return make
@@ -143,19 +146,36 @@ class TestEachChunk:
             spans = dsp._spans(self.FRAMES)
             dsp._each_chunk(self.FRAMES, body, factory("a"), factory("b"), lead=lead)
         assert len(spans) == count
-        step = -(-dsp.CHUNK_FRAMES // count)
+        frame_bytes = 8 * sum(widths.values())
+        # The byte budget: every span's chunks take ceil(CHUNK_BYTES / (spans *
+        # bytes per frame)) frames, so the spans' scratch together holds at most
+        # one frame per span over CHUNK_BYTES.
+        step = -(-dsp.CHUNK_BYTES // (count * frame_bytes))
         caller = threading.get_ident()
         for name in made:
-            assert [ident for _, ident in made[name]] == [caller] * count
-        for (first, last), a, b in zip(spans, made["a"], made["b"]):
+            # One call for one frame gives the bytes per frame, then one buffer per span.
+            assert [ident for _, ident in made[name]] == [caller] * (count + 1)
+            assert len(made[name][0][0]) == 1
+        scratch = sum(buffer.nbytes for name in made for buffer, _ in made[name][1:])
+        assert scratch < dsp.CHUNK_BYTES + count * frame_bytes
+        for (first, last), a, b in zip(spans, made["a"][1:], made["b"][1:]):
             mine = [call for call in calls if call[0] == (first, last)]
             frames = [v for _, start, stop, _ in mine for v in range(start, stop)]
             assert frames == list(range(max(first - lead, 0), last))
             assert first in [start for _, start, _, _ in mine]
+            assert len(a[0]) == min(step, last - max(first - lead, 0))
             for _, start, stop, (got_a, got_b) in mine:
                 assert 0 < stop - start <= step
                 assert got_a.base is a[0] and got_b.base is b[0]
                 assert len(got_a) == len(got_b) == stop - start
+
+    @pytest.mark.parametrize("count", SPAN_COUNTS)
+    def test_scratch_free_body_gets_one_chunk_per_span(self, count):
+        calls = []
+        with usable_cpus(count):
+            spans = dsp._spans(self.FRAMES)
+            dsp._each_chunk(self.FRAMES, lambda span, start, stop: calls.append((start, stop)))
+        assert sorted(calls) == spans
 
     def test_empty_grid_calls_no_body(self):
         def body(*args):
@@ -166,18 +186,20 @@ class TestEachChunk:
 
     @pytest.mark.parametrize("count", SPAN_COUNTS[1:])
     def test_leads_longer_than_a_chunk_give_the_same_bytes(self, count):
-        # Frame 64 at hop 1: each istft span past the first transforms the 63
-        # frames before it, three 22-frame chunks at 3 spans.
-        params = StftParams(64, 1)
-        signal = AudioBuffer(np.random.default_rng(64).standard_normal(700), 16000)
+        # Frame 256 at hop 1: each istft span past the first transforms the 255
+        # frames before it, two chunks of 128 frames at 2 spans and three of 86
+        # at 3 spans (2 KiB of scratch per frame).
+        params = StftParams(256, 1)
+        signal = AudioBuffer(np.random.default_rng(64).standard_normal(900), 16000)
         with usable_cpus(1):
             want = stft(signal, params)
-            want_out = istft(want, length=700).samples
+            want_out = istft(want, length=900).samples
         with usable_cpus(count):
             assert len(dsp._spans(want.frame_count)) == count
             got = stft(signal, params)
-            got_out = istft(got, length=700).samples
-        assert -(-dsp.CHUNK_FRAMES // 3) < params.frame_length // params.hop_length - 1
+            got_out = istft(got, length=900).samples
+        lead = params.frame_length // params.hop_length - 1
+        assert dsp._chunk_frames(count, 8 * params.frame_length) < lead
         assert got.coefficients.tobytes() == want.coefficients.tobytes()
         assert got_out.tobytes() == want_out.tobytes()
 
