@@ -175,44 +175,19 @@ def _block_means(stack: np.ndarray, tilings: list) -> list:
     return means
 
 
-def _choose_tilings(power, sigma2, tilings, snr_threshold, floor, gains) -> np.ndarray:
-    """Best tiling of every macro-block in a (n_b, MB, n_t, MF) stack.
-
-    The block columns split into spans (dsp._spans), each scored by
-    _best_tilings into its own columns of gains. Returns each block's index
-    into tilings, (n_b, n_t).
-    """
-    n_b, _, n_t, mf = power.shape
-    best = np.empty((n_b, n_t), dtype=np.intp)
-
-    def choose(first, last):
-        cols = slice(first, last)
-        best[:, cols] = _best_tilings(
-            power[:, :, cols], sigma2[:, :, cols], tilings, snr_threshold, floor, gains[:, :, cols]
-        )
-
-    _run_spans(choose, _spans(n_t * mf, unit=1, size=n_t))
-    return best
-
-
 def _best_tilings(power, sigma2, tilings, snr_threshold, floor, gains) -> np.ndarray:
     """Best tiling of every macro-block in a (n_b, MB, n_t, MF) stack, all blocks at once.
 
-    The tilings are scanned in the given order; a block moves to a later one
-    only when it has more above-threshold sub-blocks, or as many with a larger
-    mean SNR among them. A sub-block whose mean variance is at or below the
-    floor (a silent one too) gets the SNR_CAP sentinel (clean signal). The
-    chosen sub-block gains are written into gains, a view of the same shape,
-    once per cell. Returns each block's index into tilings, (n_b, n_t).
+    Each block takes the tiling with the most above-threshold sub-blocks, then
+    the largest mean SNR among them, then the first in the given order. A
+    sub-block whose mean variance is at or below the floor (a silent one too)
+    gets the SNR_CAP sentinel (clean signal). The chosen sub-block gains are
+    written into gains, a view of the same shape, once per cell. Returns each
+    block's index into tilings, (n_b, n_t).
     """
     shape = (power.shape[0], power.shape[2])
-    best = np.zeros(shape, dtype=np.intp)
-    best_count = np.full(shape, -1)
-    best_mean = np.full(shape, -np.inf)
-    snrs = []
-    for index, (mean_power, mean_var) in enumerate(
-        zip(_block_means(power, tilings), _block_means(sigma2, tilings))
-    ):
+    counts, means, snrs = [], [], []
+    for mean_power, mean_var in zip(_block_means(power, tilings), _block_means(sigma2, tilings)):
         with np.errstate(divide="ignore", invalid="ignore"):
             snr = np.clip(mean_power / mean_var - 1.0, 0.0, SNR_CAP)
         snr[mean_var <= floor] = SNR_CAP
@@ -224,11 +199,10 @@ def _best_tilings(power, sigma2, tilings, snr_threshold, floor, gains) -> np.nda
         count = above.sum(axis=2)
         total = np.where(above, row, 0.0).sum(axis=2)
         with np.errstate(divide="ignore", invalid="ignore"):
-            mean = np.where(count > 0, total / count, -np.inf)
-        better = (count > best_count) | ((count == best_count) & (mean > best_mean))
-        best[better] = index
-        best_count = np.where(better, count, best_count)
-        best_mean = np.where(better, mean, best_mean)
+            means.append(np.where(count > 0, total / count, -np.inf))
+        counts.append(count)
+    counts, means = np.array(counts), np.array(means)
+    best = np.argmax(np.where(counts == counts.max(0), means, -np.inf), axis=0)
     for index, (tiling, snr) in enumerate(zip(tilings, snrs)):
         ib, it = np.nonzero(best == index)
         _tile(gains, tiling)[ib, :, :, it] = attenuation_factor(snr[ib, :, it])[:, :, None, :, None]
@@ -323,14 +297,15 @@ def block_threshold_gains(
             h = _feasible_levels(nt, nb, params.levels)
             tilings = _distinct(enumerate_partitions(nt, nb, h))
             shape = (blocks_b.stop - blocks_b.start, nb, blocks_t.stop - blocks_t.start, nt)
-            index = _choose_tilings(
-                power[cells_b, cells_t].reshape(shape),
-                sigma2[cells_b, cells_t].reshape(shape),
-                tilings,
-                params.snr_threshold,
-                floor,
-                gains[cells_b, cells_t].reshape(shape),
-            )
+            stacks = [a[cells_b, cells_t].reshape(shape) for a in (power, sigma2, gains)]
+            index = np.empty((shape[0], shape[2]), dtype=np.intp)
+
+            def choose(first, last):
+                # A span of macro-block columns writes its own columns of index and gains.
+                p, s, g = (a[:, :, first:last] for a in stacks)
+                index[:, first:last] = _best_tilings(p, s, tilings, params.snr_threshold, floor, g)
+
+            _run_spans(choose, _spans(shape[2] * nt, size=shape[2]))
             choices["v"][blocks_b, blocks_t] = np.array([t.v for t in tilings])[index]
             choices["levels"][blocks_b, blocks_t] = h
     return BlockGrid(params=params, gains=gains, choices=choices.ravel())

@@ -68,6 +68,13 @@ def _parse_lengths(text: str) -> tuple:
     return lengths
 
 
+def _sweep_lengths(text: str) -> tuple:
+    lengths = _parse_lengths(text)
+    if len(set(lengths)) < 2:
+        raise argparse.ArgumentTypeError(f"need at least two distinct lengths, got {text!r}")
+    return lengths
+
+
 def _nonnegative_int(text: str) -> int:
     if not text.strip().isdecimal():
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
@@ -361,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="sweep adaptive filter lengths")
     sweep.add_argument("input", help="2-channel WAV")
-    sweep.add_argument("--lengths", required=True, type=_parse_lengths,
+    sweep.add_argument("--lengths", required=True, type=_sweep_lengths,
                        help="comma-separated candidate lengths")
     sweep.add_argument("--out", help="CSV output path (default sweep.csv)")
     _add_pipeline_flags(sweep)

@@ -20,9 +20,8 @@ WINDOW_KINDS = ("hann", "sqrt_hann", "rect")
 CHUNK_BYTES = 512 * 1024
 # A whole-grid pass splits into one span of frames per usable CPU while every
 # span keeps at least SPAN_MIN_FRAMES frames; shorter spans would cost more
-# in thread start-up than they save. Spans start at multiples of SPAN_UNIT.
-SPAN_UNIT = 64
-SPAN_MIN_FRAMES = 3 * SPAN_UNIT
+# in thread start-up than they save.
+SPAN_MIN_FRAMES = 192
 
 
 def _usable_cpus() -> int:
@@ -32,17 +31,16 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _spans(frames: int, unit: int = SPAN_UNIT, size: int | None = None) -> list:
+def _spans(frames: int, size: int | None = None) -> list:
     """Contiguous (start, stop) spans of range(size), range(frames) by default.
 
-    Every start is a multiple of unit, and the spans number one per usable
-    CPU, fewer when a span of a frames-long grid would hold under
-    SPAN_MIN_FRAMES frames. One span is the whole range.
+    The spans number one per usable CPU, fewer when a span of a frames-long
+    grid would hold under SPAN_MIN_FRAMES frames, and range(size) is cut at
+    size * k // count. One span is the whole range.
     """
     size = frames if size is None else size
-    units = -(-size // unit)
-    count = max(1, min(_usable_cpus(), frames // SPAN_MIN_FRAMES, units))
-    cuts = [min(size, unit * (units * k // count)) for k in range(count + 1)]
+    count = max(1, min(_usable_cpus(), frames // SPAN_MIN_FRAMES, size))
+    cuts = [size * k // count for k in range(count + 1)]
     return list(zip(cuts[:-1], cuts[1:]))
 
 
@@ -133,6 +131,13 @@ def make_window(kind: str, length: int) -> np.ndarray:
     raise ValueError(f"unknown window kind {kind!r}; expected one of {WINDOW_KINDS}")
 
 
+def _sample_rate(rate) -> int:
+    # The rate as an int; rejects a rate that is not finite, integral and positive.
+    if not (np.isfinite(rate) and rate > 0 and float(rate).is_integer()):
+        raise ValueError("sample_rate must be a positive integer")
+    return int(rate)
+
+
 @dataclass
 class AudioBuffer:
     """Multi-channel waveform; samples shaped (channels, length), amplitudes nominally in [-1, 1]."""
@@ -144,12 +149,11 @@ class AudioBuffer:
         samples = np.atleast_2d(np.asarray(self.samples, dtype=np.float64))
         if samples.ndim != 2:
             raise ValueError("samples must be a 1-D or (channels, length) array")
-        if int(self.sample_rate) <= 0:
-            raise ValueError("sample_rate must be a positive integer")
+        rate = _sample_rate(self.sample_rate)
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite; found NaN or infinite values")
         self.samples = samples
-        self.sample_rate = int(self.sample_rate)
+        self.sample_rate = rate
 
     @property
     def channel_count(self) -> int:
@@ -220,7 +224,7 @@ class Spectrogram:
                 f"{self.params.frame_length}, got {coeffs.shape[0]}"
             )
         self.coefficients = coeffs
-        self.sample_rate = int(self.sample_rate)
+        self.sample_rate = _sample_rate(self.sample_rate)
 
     @property
     def bin_count(self) -> int:

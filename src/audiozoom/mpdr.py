@@ -43,7 +43,7 @@ def estimate_covariance(spec_ch1: Spectrogram, spec_ch2: Spectrogram) -> np.ndar
     if frames == 0:
         raise ValueError("no frames")
     r11, r12, r22 = np.empty((3, bins), dtype=np.complex128)
-    spans = _spans(frames, unit=1, size=bins)
+    spans = _spans(frames, size=bins)
     # Each span's conjugates go to a buffer of its own, made on this thread (see dsp._each_chunk).
     conjs = {first: np.empty_like(y2[first:last]) for first, last in spans}
 

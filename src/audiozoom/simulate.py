@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsp import AudioBuffer, fft_convolve
+from .dsp import AudioBuffer, _sample_rate, fft_convolve
 
 
 @dataclass(frozen=True)
@@ -290,7 +290,9 @@ def parse_scenario(path) -> Scenario:
     for where, key, value in key_value_lines(path):
         try:
             if key in ("target", "interferer"):
-                wav_path, azimuth = (p.strip() for p in value.split(",", 1))
+                wav_path, comma, azimuth = (p.strip() for p in value.partition(","))
+                if not comma:
+                    raise ValueError(f"expected path,azimuth, got {value!r}")
                 if not os.path.isabs(wav_path):
                     wav_path = os.path.join(base, wav_path)
                 entry = (wav_path, float(azimuth))
@@ -371,11 +373,9 @@ def speech_like(duration_s: float, sample_rate: int = 16000, seed: int = 0) -> A
     Deterministic for a given seed; intended as desk-scale stand-in material
     when no recorded speech is at hand.
     """
-    if not (np.isfinite(sample_rate) and sample_rate > 0 and float(sample_rate).is_integer()):
-        raise ValueError("sample_rate must be a positive integer")
+    sample_rate = _sample_rate(sample_rate)
     if not np.isfinite(duration_s):
         raise ValueError("duration_s must be finite")
-    sample_rate = int(sample_rate)
     rng = np.random.default_rng(seed)
     n = int(round(duration_s * sample_rate))
     if n <= 0:

@@ -513,20 +513,21 @@ def test_batched_core_calls_do_not_grow_with_macro_blocks(monkeypatch):
     # 257 x 101 and 257 x 3749 (60 s at the default STFT) share their region
     # shapes, so a batched pass calls the core equally often on both.
     calls = []
-    core = blockthresh._choose_tilings
+    core = blockthresh._best_tilings
 
     def counting(*args):
         calls.append(1)
         return core(*args)
 
-    monkeypatch.setattr(blockthresh, "_choose_tilings", counting)
+    monkeypatch.setattr(blockthresh, "_best_tilings", counting)
     counts = []
     for frames in (101, 3749):
         rng = np.random.default_rng(frames)
         power = rng.uniform(0.0, 2.0, (257, frames))
         sigma2 = rng.uniform(0.1, 2.0, (257, frames))
         calls.clear()
-        grid = block_threshold_gains(power, sigma2)
+        with usable_cpus(1):  # one span, so one core call per region
+            grid = block_threshold_gains(power, sigma2)
         assert len(grid.choices) == 17 * -(-frames // 8)
         counts.append(len(calls))
     assert counts[0] == counts[1] <= 4
@@ -536,17 +537,18 @@ def test_each_region_scores_distinct_tilings(monkeypatch):
     # At the default 8x16 macro-block v=0's 16x1 shape is placed as 1x16,
     # v=4's tiling: each region scores each realised shape once.
     extents = []
-    core = blockthresh._choose_tilings
+    core = blockthresh._best_tilings
 
     def capturing(power, sigma2, tilings, *rest):
         extents.append([(t.sub_frames, t.sub_bins) for t in tilings])
         return core(power, sigma2, tilings, *rest)
 
-    monkeypatch.setattr(blockthresh, "_choose_tilings", capturing)
+    monkeypatch.setattr(blockthresh, "_best_tilings", capturing)
     rng = np.random.default_rng(3)
     for params in ORACLE_PARAMS:
         power = rng.uniform(0.0, 2.0, (257, 101))
-        block_threshold_gains(power, rng.uniform(0.1, 2.0, power.shape), params)
+        with usable_cpus(1):
+            block_threshold_gains(power, rng.uniform(0.1, 2.0, power.shape), params)
     assert extents
     assert all(len(set(region)) == len(region) for region in extents)
     assert [(1, 16), (8, 2), (4, 4), (2, 8)] in extents  # the default interior, v=0..3

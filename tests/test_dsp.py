@@ -379,3 +379,23 @@ class TestAudioBuffer:
     def test_channel_out_of_range(self, index):
         with pytest.raises(IndexError):
             AudioBuffer(np.zeros((2, 10)), 8000).channel(index)
+
+
+SAMPLE_RATE_HOLDERS = {
+    "AudioBuffer": lambda rate: AudioBuffer(np.zeros(10), rate),
+    "Spectrogram": lambda rate: Spectrogram(np.zeros((257, 3), dtype=complex), StftParams(), rate),
+}
+
+
+class TestSampleRate:
+    @pytest.mark.parametrize("rate", [16000.5, 0, -5, np.inf, np.nan])
+    @pytest.mark.parametrize("holder", SAMPLE_RATE_HOLDERS)
+    def test_rate_that_is_not_a_positive_integer_rejected(self, holder, rate):
+        with pytest.raises(ValueError, match="sample_rate must be a positive integer"):
+            SAMPLE_RATE_HOLDERS[holder](rate)
+
+    @pytest.mark.parametrize("rate, want", [(16000.0, 16000), (np.int64(8000), 8000)])
+    @pytest.mark.parametrize("holder", SAMPLE_RATE_HOLDERS)
+    def test_integral_rate_accepted_as_int(self, holder, rate, want):
+        got = SAMPLE_RATE_HOLDERS[holder](rate).sample_rate
+        assert got == want and type(got) is int

@@ -751,6 +751,8 @@ class TestCliSettings:
             ["zoom", "--gjbf-length", "abc"],
             ["sweep", "--lengths", "a,b"],
             ["sweep", "--lengths", ","],
+            ["sweep", "--lengths", "100"],
+            ["sweep", "--lengths", "100,100"],
             ["zoom", "--beamformer", "foo"],
             ["zoom", "--stft-window", "foo"],
             ["zoom", "--seed", "7"],

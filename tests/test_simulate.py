@@ -7,6 +7,7 @@ import pytest
 from helpers import source_image_reference, speech_like_reference, white_noise_buffer
 
 from audiozoom import simulate
+from audiozoom.cli import main
 from audiozoom.dsp import AudioBuffer
 from audiozoom.simulate import (
     ArrayGeometry,
@@ -283,6 +284,17 @@ class TestScenarioParsing:
         path.write_text("target=t.wav,90\nnot a line\n")
         with pytest.raises(ValueError, match=r"bad\.txt:2"):
             parse_scenario(path)
+
+    @pytest.mark.parametrize("key", ["target", "interferer"])
+    def test_source_without_azimuth_names_the_form(self, tmp_path, capsys, key):
+        path = tmp_path / "scene.txt"
+        path.write_text(f"{key}=t.wav\n")
+        want = f"{path}:1: expected path,azimuth, got 't.wav'"
+        with pytest.raises(ValueError) as err:
+            parse_scenario(path)
+        assert str(err.value) == want
+        assert main(["simulate", str(path), str(tmp_path / "x_")]) == 2
+        assert capsys.readouterr().err == f"audiozoom: {want}\n"
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad2.txt"

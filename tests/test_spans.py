@@ -57,16 +57,18 @@ def _assert_same_bytes(got: dict, want: dict):
 
 
 class TestSpanCuts:
-    def test_one_span_per_cpu_aligned_to_chunks(self):
-        frames = 626  # 10 s at the default STFT
-        for count in SPAN_COUNTS:
-            with usable_cpus(count):
-                spans = dsp._spans(frames)
-            assert len(spans) == count
-            assert spans[0][0] == 0 and spans[-1][1] == frames
-            assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
-            assert all(start % dsp.SPAN_UNIT == 0 for start, _ in spans)
-            assert all(stop - start >= dsp.SPAN_MIN_FRAMES for start, stop in spans)
+    def test_one_span_per_cpu_cut_evenly(self):
+        for frames in (626, 3749):  # 10 s and 60 s at the default STFT
+            for count in SPAN_COUNTS:
+                with usable_cpus(count):
+                    spans = dsp._spans(frames)
+                assert len(spans) == count
+                assert spans[0][0] == 0 and spans[-1][1] == frames
+                assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+                assert all(start == frames * k // count for k, (start, _) in enumerate(spans))
+                assert all(stop - start >= dsp.SPAN_MIN_FRAMES for start, stop in spans)
+        with usable_cpus(2):
+            assert dsp._spans(3749) == [(0, 1874), (1874, 3749)]
 
     def test_short_grid_keeps_one_span(self):
         # 2 s at the default STFT is 125 frames, under two spans' worth of frames.
@@ -76,8 +78,8 @@ class TestSpanCuts:
 
     def test_bin_spans_take_their_count_from_the_frames(self):
         with usable_cpus(3):
-            assert dsp._spans(626, unit=1, size=257) == [(0, 85), (85, 171), (171, 257)]
-            assert dsp._spans(125, unit=1, size=257) == [(0, 257)]
+            assert dsp._spans(626, size=257) == [(0, 85), (85, 171), (171, 257)]
+            assert dsp._spans(125, size=257) == [(0, 257)]
 
 
 class TestRunSpans:
