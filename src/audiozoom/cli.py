@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from dataclasses import replace
 from operator import attrgetter
 
@@ -63,8 +64,8 @@ def _parse_lengths(text: str) -> tuple:
         lengths = tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError:
         lengths = ()
-    if not lengths:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    if not lengths or min(lengths) < 1:
+        raise argparse.ArgumentTypeError(f"expected comma-separated positive integers, got {text!r}")
     return lengths
 
 
@@ -376,14 +377,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"audiozoom: warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (DataError, OSError, ValueError) as exc:
-        print(f"audiozoom: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        # The library's own warnings (a skipped sweep length) are part of a successful run.
+        warnings.simplefilter("always", UserWarning)
+        warnings.showwarning = _print_warning
+        try:
+            return args.func(args)
+        except (DataError, OSError, ValueError) as exc:
+            print(f"audiozoom: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

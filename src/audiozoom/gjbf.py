@@ -5,8 +5,8 @@ broadside target cancels exactly), and an adaptive filter estimates the
 interference left in the fixed path from the blocking-path reference.
 Output z = fixed - adapted estimate. The filter is constrained block LMS on
 overlap-save frames (Shynk, IEEE SP Magazine 1992), computed in the time
-domain per block: each block makes one convolution for its output and one
-correlation for its gradient. The frequency-domain step normalisation is
+domain per block: each block makes one correlation for its output and one
+for its gradient. The frequency-domain step normalisation is
 folded into per-block gradient kernels, all made before the loop in one
 batched rfft and irfft.
 """
@@ -102,9 +102,25 @@ def _overlap_save_frames(ch1: AudioBuffer, ch2: AudioBuffer, config: GjbfConfig)
     L, B, delay = config.filter_length, config.block, config.delay
     padded = -(-(x1.size + delay) // B) * B
     # L leading zeros: block k's overlap-save frame is ref_pad[k*B : k*B + L + B].
-    ref_pad = np.pad(x1 - x2, (L, padded - x1.size))
-    desired = np.pad(0.5 * (x1 + x2), (delay, padded - delay - x1.size))
-    return desired, sliding_window_view(ref_pad, L + B)[::B], ref_pad[L : L + x1.size]
+    ref_pad = np.zeros(L + padded)
+    reference = np.subtract(x1, x2, out=ref_pad[L : L + x1.size])
+    desired = np.zeros(padded)
+    fixed = np.add(x1, x2, out=desired[delay : delay + x1.size])
+    fixed *= 0.5
+    return desired, sliding_window_view(ref_pad, L + B)[::B], reference
+
+
+def _smooth_rows(power: np.ndarray) -> None:
+    """power[k] += POWER_SMOOTHING * power[k - 1] for k = 1, 2, ..., in place.
+
+    scipy.signal.lfilter gives the same bits faster, but it would bring SciPy
+    back into the package, whose import costs ~1 s and ~54 MB RSS. The row
+    views live only in this frame, so none outlives the caller's array.
+    """
+    scaled = np.empty(power.shape[1:])
+    for previous, row in zip(power, power[1:]):
+        np.multiply(previous, POWER_SMOOTHING, out=scaled)
+        np.add(row, scaled, out=row)
 
 
 def _gradient_kernels(frames: np.ndarray, reference: np.ndarray, config: GjbfConfig) -> np.ndarray:
@@ -118,12 +134,10 @@ def _gradient_kernels(frames: np.ndarray, reference: np.ndarray, config: GjbfCon
         return frames
     nfft = frames.shape[1]
     spectra = np.fft.rfft(frames)
-    power = np.abs(spectra) ** 2
+    power = np.abs(spectra)
+    power *= power
     power[1:] *= 1.0 - POWER_SMOOTHING
-    # scipy.signal.lfilter gives the same bits faster, but it would bring SciPy back into the
-    # package, whose import costs ~1 s and ~54 MB RSS.
-    for k in range(1, len(power)):
-        power[k] += POWER_SMOOTHING * power[k - 1]
+    _smooth_rows(power)
     # Scale-invariant floor: keeps near-silent blocks (or bins) from blowing
     # up the normalized step while vanishing identically for a zero reference.
     power += 1e-4 * nfft * float(np.mean(reference**2))
@@ -140,26 +154,38 @@ def _adapt(desired: np.ndarray, frames: np.ndarray, kernels: np.ndarray, config:
     Overlap-save without transforms: block k's frame f and kernel h give
     output n = sum_j taps[j] f[L+n-j] and gradient lag j = sum_n e[n] h[L+n-j],
     and L+n-j stays in [1, L+B-1], so no index wraps around the frame and
-    sample 0 is never read.
+    sample 0 is never read. The taps are kept last-first, so both are plain
+    correlations, and each block writes its output, error and taps in place.
     """
-    B = config.block
-    taps = np.zeros(config.filter_length)
-    trajectory = np.zeros((len(frames) + 1, taps.size))
+    B, step, keep = config.block, config.step_size, 1.0 - config.leak
+    trajectory = np.zeros((len(frames) + 1, config.filter_length))
     estimate = np.empty(desired.size)
-    for k, (frame, kernel) in enumerate(zip(frames[:, 1:], kernels[:, 1:])):
-        block = slice(k * B, (k + 1) * B)
-        block_out = np.convolve(frame, taps, "valid")
-        estimate[block] = block_out
-        error = desired[block] - block_out
-        if config.leak:
-            taps *= 1.0 - config.leak
-        taps += config.step_size * np.correlate(kernel, error, "valid")[::-1]
-        peak = np.abs(taps).max()
-        if not peak <= DIVERGENCE_LIMIT:  # also true for NaN taps
-            if not np.isfinite(peak):  # np.convolve and np.correlate overflow without an FP error
-                raise ValueError(_OVERFLOW)
-            raise RuntimeError("step size too large")
-        trajectory[k + 1] = taps
+    rtaps = np.zeros(config.filter_length)  # taps[::-1]
+    error = np.empty(B)
+    bound = DIVERGENCE_LIMIT**2
+    blocks = zip(
+        frames[:, 1:],
+        kernels[:, 1:],
+        desired.reshape(-1, B),
+        estimate.reshape(-1, B),
+        trajectory[1:, ::-1],  # reversed rows: rtaps lands in them first-to-last
+    )
+    # An overflow leaves the taps non-finite in the same block, which the exact test reports.
+    with np.errstate(over="ignore"):
+        for frame, kernel, wanted, block_out, row in blocks:
+            block_out[:] = np.correlate(frame, rtaps, "valid")
+            np.subtract(wanted, block_out, out=error)
+            if config.leak:
+                rtaps *= keep
+            rtaps += step * np.correlate(kernel, error, "valid")
+            # max|taps|^2 <= ||taps||^2: the exact test runs only when this one fails.
+            if not rtaps.dot(rtaps) <= bound:
+                peak = np.abs(rtaps).max()
+                if not peak <= DIVERGENCE_LIMIT:  # also true for NaN taps
+                    if not np.isfinite(peak):
+                        raise ValueError(_OVERFLOW)
+                    raise RuntimeError("step size too large")
+            row[:] = rtaps
     return estimate, trajectory
 
 

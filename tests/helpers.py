@@ -4,9 +4,10 @@ import contextlib
 import functools
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.io import wavfile
 
-from audiozoom import dsp
+from audiozoom import dsp, gjbf
 from audiozoom.blockthresh import (
     CHOICE_DTYPE,
     SNR_CAP,
@@ -107,6 +108,72 @@ def fdaf_gjbf_reference(x1, x2, config):
             raise RuntimeError("step size too large")
     z = desired - estimate
     return z[delay : delay + n_samples], estimate[delay : delay + n_samples], taps
+
+
+def overlap_save_frames_reference(ch1, ch2, config):
+    """gjbf._overlap_save_frames as the package had it while its block loop
+    kept the taps first-to-last: np.pad of the paths' temporaries."""
+    x1, x2 = ch1.samples[0], ch2.samples[0]
+    L, B, delay = config.filter_length, config.block, config.delay
+    padded = -(-(x1.size + delay) // B) * B
+    ref_pad = np.pad(x1 - x2, (L, padded - x1.size))
+    desired = np.pad(0.5 * (x1 + x2), (delay, padded - delay - x1.size))
+    return desired, sliding_window_view(ref_pad, L + B)[::B], ref_pad[L : L + x1.size]
+
+
+def gradient_kernels_reference(frames, reference, config):
+    """gjbf._gradient_kernels as the package had it then: the power recursion
+    indexed row by row."""
+    if not config.normalized:
+        return frames
+    nfft = frames.shape[1]
+    spectra = np.fft.rfft(frames)
+    power = np.abs(spectra) ** 2
+    power[1:] *= 1.0 - POWER_SMOOTHING
+    for k in range(1, len(power)):
+        power[k] += POWER_SMOOTHING * power[k - 1]
+    power += 1e-4 * nfft * float(np.mean(reference**2))
+    power += 1e-300
+    spectra /= power
+    del power
+    return np.fft.irfft(spectra, nfft)
+
+
+def adapt_reference(desired, frames, kernels, config):
+    """gjbf._adapt as the package had it then: taps first-to-last, output by
+    np.convolve, gradient by a reversed np.correlate, and max|taps| tested
+    every block. Overflow is reported only under fdaf_gjbf's errstate."""
+    B = config.block
+    taps = np.zeros(config.filter_length)
+    trajectory = np.zeros((len(frames) + 1, taps.size))
+    estimate = np.empty(desired.size)
+    for k, (frame, kernel) in enumerate(zip(frames[:, 1:], kernels[:, 1:])):
+        block = slice(k * B, (k + 1) * B)
+        block_out = np.convolve(frame, taps, "valid")
+        estimate[block] = block_out
+        error = desired[block] - block_out
+        if config.leak:
+            taps *= 1.0 - config.leak
+        taps += config.step_size * np.correlate(kernel, error, "valid")[::-1]
+        peak = np.abs(taps).max()
+        if not peak <= DIVERGENCE_LIMIT:
+            if not np.isfinite(peak):
+                raise ValueError(gjbf._OVERFLOW)
+            raise RuntimeError("step size too large")
+        trajectory[k + 1] = taps
+    return estimate, trajectory
+
+
+def fdaf_gjbf_loop_reference(ch1, ch2, config):
+    """The three reference stages run as fdaf_gjbf runs its own; returns
+    (z, y_b, trajectory) as arrays. Serves as the byte-equality oracle for
+    the block loop."""
+    with np.errstate(over="call", call=gjbf._input_overflow):
+        desired, frames, reference = overlap_save_frames_reference(ch1, ch2, config)
+        kernels = gradient_kernels_reference(frames, reference, config)
+        estimate, trajectory = adapt_reference(desired, frames, kernels, config)
+    crop = slice(config.delay, config.delay + ch1.length)
+    return (desired - estimate)[crop], estimate[crop], trajectory
 
 
 def default_scene(

@@ -2,15 +2,21 @@
 
 import os
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from helpers import (
     FS,
+    adapt_reference,
     block_lms_reference,
     default_scene,
+    echoic_scene_10s,
+    fdaf_gjbf_loop_reference,
     fdaf_gjbf_reference,
+    gradient_kernels_reference,
+    overlap_save_frames_reference,
     white_noise_buffer,
 )
 
@@ -18,6 +24,7 @@ from audiozoom import gjbf
 from audiozoom.blockthresh import residual_variance
 from audiozoom.dsp import AudioBuffer, Spectrogram, StftParams, stft
 from audiozoom.gjbf import (
+    DIVERGENCE_LIMIT,
     GjbfConfig,
     apply_gjbf,
     fdaf_gjbf,
@@ -25,6 +32,7 @@ from audiozoom.gjbf import (
     select_filter_length,
 )
 from audiozoom.metrics import osinr_db
+from audiozoom.pipeline import DEFAULT_SWEEP_LENGTHS
 from audiozoom.simulate import (
     MixtureSpec,
     SourceSpec,
@@ -313,6 +321,150 @@ class TestFdafMatchesReference:
         calls["irfft"].clear()
         fdaf_gjbf(x1, x2, GjbfConfig(filter_length=64, step_size=0.002, normalized=False))
         assert calls == {"rfft": [], "irfft": []}
+
+
+def _assert_same_bytes(got, want):
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+LOOP_ORACLE_CONFIGS = {
+    f"{'norm' if normalized else 'fixed'}-leak{leak}-B{block}": GjbfConfig(
+        filter_length=64,
+        block_size=block,
+        leak=leak,
+        normalized=normalized,
+        step_size=0.05 if normalized else 0.002,
+    )
+    for normalized in (True, False)
+    for leak in (0.0, 0.01)
+    for block in (None, 48)
+}
+LOOP_ORACLE_CONFIGS["L1"] = GjbfConfig(filter_length=1)
+LOOP_ORACLE_CONFIGS["L1-fixed"] = GjbfConfig(filter_length=1, normalized=False, step_size=0.002)
+
+
+class TestBlockLoopByteEqual:
+    """The block loop against its earlier form kept in helpers (taps first-to-last,
+    np.convolve, max|taps| every block): every output byte-equal, not just close."""
+
+    @staticmethod
+    def _assert_run_matches_oracle(ch1, ch2, config):
+        z, y_b, state = fdaf_gjbf(ch1, ch2, config)
+        z_want, y_b_want, trajectory_want = fdaf_gjbf_loop_reference(ch1, ch2, config)
+        _assert_same_bytes(z.samples[0], z_want)
+        _assert_same_bytes(y_b.samples[0], y_b_want)
+        _assert_same_bytes(state.trajectory, trajectory_want)
+        assert state.trajectory.flags.c_contiguous
+
+    @pytest.mark.parametrize("name", LOOP_ORACLE_CONFIGS)
+    def test_stages_byte_equal(self, name):
+        config = LOOP_ORACLE_CONFIGS[name]
+        ch1, ch2 = _oracle_scene(seed=3)
+        desired, frames, reference = gjbf._overlap_save_frames(ch1, ch2, config)
+        desired_want, frames_want, reference_want = overlap_save_frames_reference(ch1, ch2, config)
+        for got, want in ((desired, desired_want), (frames, frames_want), (reference, reference_want)):
+            _assert_same_bytes(got, want)
+        kernels = gjbf._gradient_kernels(frames, reference, config)
+        _assert_same_bytes(kernels, gradient_kernels_reference(frames, reference, config))
+        estimate, trajectory = gjbf._adapt(desired, frames, kernels, config)
+        estimate_want, trajectory_want = adapt_reference(desired, frames, kernels, config)
+        _assert_same_bytes(estimate, estimate_want)
+        _assert_same_bytes(trajectory, trajectory_want)
+        assert trajectory.flags.c_contiguous
+
+    @pytest.mark.parametrize("name", LOOP_ORACLE_CONFIGS)
+    def test_run_byte_equal(self, name):
+        self._assert_run_matches_oracle(*_oracle_scene(seed=3), LOOP_ORACLE_CONFIGS[name])
+
+    @pytest.mark.parametrize("length", DEFAULT_SWEEP_LENGTHS)
+    def test_sweep_lengths_byte_equal_on_10s_echoic_scene(self, length):
+        mixture = echoic_scene_10s().mixture
+        config = GjbfConfig(filter_length=length)
+        self._assert_run_matches_oracle(mixture.channel(0), mixture.channel(1), config)
+
+    def test_select_filter_length_byte_equal(self):
+        mixture = echoic_scene_10s().mixture
+        ch1, ch2 = mixture.channel(0), mixture.channel(1)
+        best, curve, z, state = select_filter_length(ch1, ch2, DEFAULT_SWEEP_LENGTHS)
+        fixed = 0.5 * (ch1.samples[0] + ch2.samples[0])
+        fixed_power = float(np.dot(fixed, fixed))
+        runs = {L: fdaf_gjbf_loop_reference(ch1, ch2, GjbfConfig(filter_length=L)) for L in DEFAULT_SWEEP_LENGTHS}
+        want = [(L, gjbf._power_score_db(fixed_power, runs[L][0])) for L in DEFAULT_SWEEP_LENGTHS]
+        assert curve == want
+        assert best == min(want, key=lambda item: (-item[1], item[0]))[0]
+        assert state.config.filter_length == best
+        _assert_same_bytes(z.samples[0], runs[best][0])
+        _assert_same_bytes(state.trajectory, runs[best][2])
+
+    # tracemalloc peak of one run over one input channel's bytes on a 10 s
+    # scene; it reads 6.06 (L = 50) and 6.02 (L = 250). Keeping each block's
+    # output in a list, or flipping a last-first trajectory at the end, would
+    # read about 7.
+    @pytest.mark.parametrize("length", [50, 250])
+    def test_peak_memory_in_channel_sizes(self, length):
+        mixture = echoic_scene_10s().mixture
+        ch1, ch2 = mixture.channel(0), mixture.channel(1)
+        config = GjbfConfig(filter_length=length)
+        fdaf_gjbf(ch1, ch2, config)  # first-call caches are not the run's memory
+        tracemalloc.start()
+        try:
+            fdaf_gjbf(ch1, ch2, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.25 * ch1.samples.nbytes
+
+
+class TestDivergenceBoundary:
+    """_adapt's divergence test at its edges. Block 0 of these crafted inputs
+    sets the taps to 0.5 * kernel[1:] (a zero frame, error 1, step 0.5) and
+    block 1 leaves them as they are (error 0)."""
+
+    @staticmethod
+    def _adapt(taps):
+        taps = np.asarray(taps, dtype=np.float64)
+        config = GjbfConfig(filter_length=taps.size, block_size=1, step_size=0.5, normalized=False)
+        frames = np.zeros((2, taps.size + 1))
+        kernels = np.zeros((2, taps.size + 1))
+        kernels[0, 1:] = 2.0 * taps[::-1]
+        return gjbf._adapt(np.array([1.0, 0.0]), frames, kernels, config)
+
+    @pytest.mark.parametrize("length", [2, 4, 64])
+    def test_every_tap_just_inside_runs_on(self, length):
+        # ||taps||^2 is past DIVERGENCE_LIMIT^2, so the exact max|taps| test decides.
+        taps = np.full(length, 0.9 * DIVERGENCE_LIMIT)
+        assert np.dot(taps, taps) > DIVERGENCE_LIMIT**2
+        estimate, trajectory = self._adapt(taps)
+        assert np.all(estimate == 0)
+        assert np.array_equal(trajectory, np.vstack([np.zeros(length), taps, taps]))
+
+    def test_one_tap_at_the_limit_runs_on(self):
+        taps = [0.0, DIVERGENCE_LIMIT, 0.0]
+        _, trajectory = self._adapt(taps)
+        assert np.array_equal(trajectory[-1], taps)
+
+    @pytest.mark.parametrize("others", [0.0, 1.0])
+    def test_one_tap_just_past_the_limit_raises(self, others):
+        taps = np.full(3, others)
+        taps[1] = np.nextafter(DIVERGENCE_LIMIT, np.inf)
+        with pytest.raises(RuntimeError, match="step size too large"):
+            self._adapt(taps)
+
+    def test_nan_tap_is_value_error(self):
+        with pytest.raises(ValueError, match="input level overflows"):
+            self._adapt([0.0, np.nan, 0.0])
+
+    @pytest.mark.parametrize("over", ["warn", "raise", "call"])
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_jump_to_1e300_is_runtime_error_without_warning(self, over, length):
+        # ||taps||^2 overflows; the loop masks that, and max|taps| is finite.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with np.errstate(over=over, call=gjbf._input_overflow):
+                with pytest.raises(RuntimeError, match="step size too large"):
+                    self._adapt(np.full(length, 1e300))
+        assert not caught
 
 
 class TestRecordedRun:

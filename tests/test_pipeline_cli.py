@@ -753,6 +753,8 @@ class TestCliSettings:
             ["sweep", "--lengths", ","],
             ["sweep", "--lengths", "100"],
             ["sweep", "--lengths", "100,100"],
+            ["sweep", "--lengths", "-5,100"],
+            ["zoom", "--beamformer", "gjbf", "--gjbf-length", "auto", "--gjbf-sweep", "100,-5"],
             ["zoom", "--beamformer", "foo"],
             ["zoom", "--stft-window", "foo"],
             ["zoom", "--seed", "7"],
@@ -767,11 +769,45 @@ class TestCliSettings:
         assert err.value.code == 1
         assert "error: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--lengths", "--gjbf-sweep"])
+    def test_nonpositive_length_names_the_form(self, tmp_path, capsys, wav, flag):
+        if flag == "--lengths":
+            command = ["sweep", wav]
+        else:
+            command = ["zoom", wav, str(tmp_path / "o.wav"), "--beamformer", "gjbf", "--gjbf-length", "auto"]
+        with pytest.raises(SystemExit) as err:
+            main([*command, flag, "0,100"])
+        assert err.value.code == 1
+        assert f"error: argument {flag}: expected comma-separated positive integers, got '0,100'" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("command", ["zoom", "sweep"])
+    def test_too_long_length_is_one_warning_line(self, tmp_path, capsys, wav, command):
+        # 1000000 is longer than half of the 1 s input, so the sweep skips it and runs on.
+        tail = {
+            "zoom": [str(tmp_path / "o.wav"), "--beamformer", "gjbf", "--gjbf-length", "auto",
+                     "--gjbf-sweep", "100,1000000,50"],
+            "sweep": ["--lengths", "100,1000000,50", "--out", str(tmp_path / "c.csv")],
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, wav, *tail[command]]) == 0
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "audiozoom: warning: filter length 1000000 skipped: "
+            "signals must be longer than twice the filter length"
+        ]
+        if command == "sweep":
+            rows = (tmp_path / "c.csv").read_text().splitlines()[1:]
+            assert [row.split(",")[0] for row in rows] == ["100", "50"]
+
     @pytest.mark.parametrize(
         "command, line",
         [
             (["zoom", "--beamformer", "gjbf", "--gjbf-length", "auto"], "gjbf_sweep=,"),
             (["zoom"], "gjbf_sweep=a,b"),
+            (["zoom", "--beamformer", "gjbf", "--gjbf-length", "auto"], "gjbf_sweep=0,100"),
             (["zoom"], "gjbf_length=abc"),
             (["sweep", "--lengths", "32,64"], "gjbf_length=abc"),
             (["zoom"], "beamformer=foo"),
