@@ -807,12 +807,12 @@ class TestCliSettings:
         [
             (["zoom", "--beamformer", "gjbf", "--gjbf-length", "auto"], "gjbf_sweep=,"),
             (["zoom"], "gjbf_sweep=a,b"),
-            (["zoom", "--beamformer", "gjbf", "--gjbf-length", "auto"], "gjbf_sweep=0,100"),
             (["zoom"], "gjbf_length=abc"),
             (["sweep", "--lengths", "32,64"], "gjbf_length=abc"),
             (["zoom"], "beamformer=foo"),
             (["zoom"], "seed=7"),
             (["sweep", "--lengths", "32,64"], "seed=7"),
+            (["zoom", "--beamformer", "gjbf", "--gjbf-length", "auto"], "gjbf_sweep=0,100"),
         ],
     )
     def test_bad_config_line_is_data_error(self, tmp_path, capsys, wav, command, line):
