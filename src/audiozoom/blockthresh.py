@@ -257,7 +257,7 @@ def _bands(size: int, macro: int) -> list:
 
 
 def block_threshold_gains(
-    z: Spectrogram | np.ndarray,
+    z: Spectrogram,
     sigma2: np.ndarray,
     params: BlockThresholdParams = BlockThresholdParams(),
 ) -> BlockGrid:
@@ -270,7 +270,7 @@ def block_threshold_gains(
     corner), and each region picks every block's tiling in one batched pass
     per span of its macro-block columns.
     """
-    coeffs = z.coefficients if isinstance(z, Spectrogram) else np.asarray(z)
+    coeffs = z.coefficients
     sigma2 = np.asarray(sigma2, dtype=np.float64)
     if coeffs.shape != sigma2.shape:
         raise ValueError("variance map dimensions must match the spectrogram")

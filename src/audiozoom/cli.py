@@ -17,17 +17,9 @@ import numpy as np
 
 from .dsp import WINDOW_KINDS, AudioBuffer
 from .gjbf import select_filter_length
-from .metrics import MAX_SHIFT, EvalReport, build_report, mse_db, osinr_db, project_onto_reference
+from .metrics import MAX_SHIFT, EvalReport, mse_db, osinr_db, project_onto_reference
 from .pipeline import BEAMFORMERS, DEFAULT_SWEEP_LENGTHS, PipelineConfig, normalize_peak, run_zoom
-from .simulate import (
-    MixtureSpec,
-    SourceSpec,
-    echo_taps_for_t60,
-    key_value_lines,
-    parse_scenario,
-    synthesize_mixture,
-    two_mic_array,
-)
+from .simulate import key_value_lines, parse_scenario, synthesize_mixture
 from .wav import read_wav, write_wav
 
 
@@ -66,11 +58,6 @@ def _parse_lengths(text: str) -> tuple:
         lengths = ()
     if not lengths or min(lengths) < 1:
         raise argparse.ArgumentTypeError(f"expected comma-separated positive integers, got {text!r}")
-    return lengths
-
-
-def _sweep_lengths(text: str) -> tuple:
-    lengths = _parse_lengths(text)
     if len(set(lengths)) < 2:
         raise argparse.ArgumentTypeError(f"need at least two distinct lengths, got {text!r}")
     return lengths
@@ -145,15 +132,27 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     for key, flag, parse, fields in _SETTINGS:
         help_text = f"sets {fields} (default {_show(key, defaults[key])})"
         parser.add_argument(flag, type=parse, dest=key, default=argparse.SUPPRESS, help=help_text)
+    parser.set_defaults(usage_error=parser.error)
 
 
-def _effective_settings(args) -> dict:
-    """Defaults, then the --config file, then the flags given."""
+def _effective_config(args) -> tuple:
+    """(settings, config) from the defaults, then the --config file, then the flags given.
+
+    A value that PipelineConfig rejects is a data error when the file gives
+    it and a usage error when a flag does.
+    """
     settings = _default_settings()
     if args.config:
         settings.update(_read_config_file(args.config))
+        try:
+            _settings_to_config(settings)
+        except ValueError as exc:
+            raise DataError(f"{args.config}: {exc}") from exc
     settings.update((key, getattr(args, key)) for key in _PARSERS if hasattr(args, key))
-    return settings
+    try:
+        return settings, _settings_to_config(settings)
+    except ValueError as exc:
+        args.usage_error(str(exc))
 
 
 def _settings_to_config(settings: dict) -> PipelineConfig:
@@ -209,28 +208,7 @@ def _load_mono(path) -> AudioBuffer:
 
 
 def cmd_simulate(args) -> int:
-    scenario = parse_scenario(args.scenario)
-    target = SourceSpec(scenario.target_azimuth, _load_mono(scenario.target_path), "target")
-    interferers = tuple(
-        SourceSpec(azimuth, _load_mono(path), "interference")
-        for path, azimuth in scenario.interferers
-    )
-    echo_taps = ()
-    if scenario.echo_t60_ms is not None:
-        try:
-            echo_taps = echo_taps_for_t60(scenario.echo_t60_ms / 1000.0)
-        except ValueError as exc:
-            raise ValueError(f"echo_t60_ms: {exc}") from exc
-    spec = MixtureSpec(
-        target=target,
-        interferers=interferers,
-        sir_db=scenario.sir_db,
-        sensor_noise_snr_db=scenario.sensor_noise_snr_db,
-        echo_taps=echo_taps,
-    )
-    geometry = two_mic_array(scenario.spacing_m, scenario.sound_speed)
-    result = synthesize_mixture(spec, geometry, seed=scenario.seed)
-
+    result = synthesize_mixture(**parse_scenario(args.scenario))
     prefix = args.out_prefix
     parent = os.path.dirname(prefix)
     if parent:
@@ -249,8 +227,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_zoom(args) -> int:
-    settings = _effective_settings(args)
-    config = _settings_to_config(settings)
+    settings, config = _effective_config(args)
     mixture = _load_stereo(args.input)
     _echo_settings(settings)
 
@@ -315,7 +292,7 @@ def cmd_eval(args) -> int:
     fitted, residual = project_onto_reference(est, reference, args.max_shift)
     final_osinr = osinr_db(fitted, residual)
     final_mse = mse_db(est, reference, args.max_shift)
-    report = build_report(input_sinr, final_osinr, final_mse)
+    report = EvalReport(input_sinr_db=input_sinr, osinr_db=final_osinr, mse_db=final_mse)
 
     print(report.format_text())
     if args.report:
@@ -325,11 +302,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = _settings_to_config(_effective_settings(args))
+    settings, config = _effective_config(args)
     mixture = _load_stereo(args.input)
     try:
         best, curve, _, _ = select_filter_length(
-            mixture.channel(0), mixture.channel(1), args.lengths, config.gjbf
+            mixture.channel(0), mixture.channel(1), settings["gjbf_sweep"], config.gjbf
         )
     except RuntimeError as exc:  # every candidate's adaptive filter diverged
         raise DataError(str(exc)) from exc
@@ -367,10 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     evalp.add_argument("--max-shift", type=_nonnegative_int, default=MAX_SHIFT, dest="max_shift")
     evalp.set_defaults(func=cmd_eval)
 
-    sweep = sub.add_parser("sweep", help="sweep adaptive filter lengths")
+    sweep = sub.add_parser("sweep", help="sweep the adaptive filter lengths that gjbf_sweep sets")
     sweep.add_argument("input", help="2-channel WAV")
-    sweep.add_argument("--lengths", required=True, type=_sweep_lengths,
-                       help="comma-separated candidate lengths")
     sweep.add_argument("--out", help="CSV output path (default sweep.csv)")
     _add_pipeline_flags(sweep)
     sweep.set_defaults(func=cmd_sweep)

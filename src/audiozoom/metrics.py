@@ -7,7 +7,7 @@ computed on the mixture to a component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -143,10 +143,13 @@ class EvalReport:
 
     input_sinr_db: float
     osinr_db: float
-    sinr_gain_db: float
+    sinr_gain_db: float = field(init=False)  # osinr_db - input_sinr_db
     mse_db: float
     osinr_beamformer_db: float = float("nan")
     mse_beamformer_db: float = float("nan")
+
+    def __post_init__(self):
+        self.sinr_gain_db = self.osinr_db - self.input_sinr_db
 
     @staticmethod
     def csv_header() -> str:
@@ -158,17 +161,6 @@ class EvalReport:
     def format_text(self) -> str:
         lines = [f"{f.name} = {getattr(self, f.name):.3f} dB" for f in fields(EvalReport)]
         return "\n".join(lines)
-
-
-def build_report(input_sinr: float, final_osinr: float, final_mse: float, **stage_values) -> EvalReport:
-    """Assemble a report; the gain field is derived from the SINR pair."""
-    return EvalReport(
-        input_sinr_db=input_sinr,
-        osinr_db=final_osinr,
-        sinr_gain_db=final_osinr - input_sinr,
-        mse_db=final_mse,
-        **stage_values,
-    )
 
 
 def project_onto_reference(estimate: AudioBuffer, reference: AudioBuffer, max_shift: int = MAX_SHIFT):

@@ -13,7 +13,7 @@ import numpy as np
 from .blockthresh import BlockGrid, BlockThresholdParams, block_threshold_gains, residual_variance
 from .dsp import AudioBuffer, Spectrogram, StftParams, istft, stft
 from .gjbf import AdaptiveFilterState, GjbfConfig, apply_gjbf, fdaf_gjbf, select_filter_length
-from .metrics import build_report, decompose_linear, mse_db, osinr_db
+from .metrics import EvalReport, decompose_linear, mse_db, osinr_db
 from .mpdr import MpdrWeights, apply_mpdr, design_mpdr
 
 BEAMFORMERS = ("mpdr", "gjbf")
@@ -204,10 +204,10 @@ def evaluate_scene(
         final_osinr = osinr_beamformer
         final_mse = mse_beamformer
 
-    report = build_report(
-        input_sinr,
-        final_osinr,
-        final_mse,
+    report = EvalReport(
+        input_sinr_db=input_sinr,
+        osinr_db=final_osinr,
+        mse_db=final_mse,
         osinr_beamformer_db=osinr_beamformer,
         mse_beamformer_db=mse_beamformer,
     )

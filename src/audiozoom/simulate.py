@@ -8,11 +8,12 @@ along the array axis.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dsp import AudioBuffer, _sample_rate, fft_convolve
+from .wav import read_wav
 
 
 @dataclass(frozen=True)
@@ -20,7 +21,7 @@ class ArrayGeometry:
     """Two microphones on the x axis: mic 1 (top, the reference) at the origin,
     mic 2 at x = spacing_m meters."""
 
-    spacing_m: float
+    spacing_m: float = 0.10
     sound_speed: float = 343.0
 
     def __post_init__(self):
@@ -38,9 +39,7 @@ class ArrayGeometry:
         return np.array([-0.0, -offset / self.sound_speed])
 
 
-def two_mic_array(spacing_m: float = 0.10, sound_speed: float = 343.0) -> ArrayGeometry:
-    """The standard pair, 0.10 m apart by default."""
-    return ArrayGeometry(spacing_m, sound_speed)
+two_mic_array = ArrayGeometry  # two_mic_array() is the standard pair, at the defaults above
 
 
 DELAY_TAPS = 31  # length of the windowed-sinc interpolator (odd)
@@ -246,21 +245,6 @@ def synthesize_mixture(
     )
 
 
-@dataclass
-class Scenario:
-    """Parsed key=value scenario file."""
-
-    target_path: str
-    target_azimuth: float
-    interferers: list = field(default_factory=list)  # (path, azimuth) pairs
-    sir_db: float = 0.0
-    sensor_noise_snr_db: float | None = None
-    seed: int = 0
-    echo_t60_ms: float | None = None
-    spacing_m: float = 0.10
-    sound_speed: float = 343.0
-
-
 def key_value_lines(path):
     """Yield (where, key, value) for each key=value line; where is 'path:line'.
 
@@ -277,51 +261,74 @@ def key_value_lines(path):
             yield f"{path}:{lineno}", key, value
 
 
-def parse_scenario(path) -> Scenario:
-    """Parse a scenario file of key=value lines ('#' starts a comment).
+def _echo_taps(t60_ms: str) -> tuple:
+    return echo_taps_for_t60(float(t60_ms) / 1000.0)
 
-    Keys: target=path,azimuth; interferer=path,azimuth (repeatable);
-    sir_db; sensor_noise_snr_db; seed; echo_t60_ms; spacing_m; sound_speed.
-    Relative WAV paths are resolved against the scenario file's directory.
+
+# Scenario key -> (what it sets, the field or argument it sets, parser). A key
+# left out of a scenario takes the default of the MixtureSpec or ArrayGeometry
+# field, or of synthesize_mixture's argument, that it sets.
+_SCENARIO_KEYS = {
+    "sir_db": ("spec", "sir_db", float),
+    "sensor_noise_snr_db": ("spec", "sensor_noise_snr_db", float),
+    "echo_t60_ms": ("spec", "echo_taps", _echo_taps),
+    "spacing_m": ("geometry", "spacing_m", float),
+    "sound_speed": ("geometry", "sound_speed", float),
+    "seed": ("call", "seed", int),
+}
+
+
+def _source(where: str, path, azimuth: float, role: str) -> SourceSpec:
+    signal = read_wav(path)
+    try:
+        return SourceSpec(azimuth, signal, role)
+    except ValueError as exc:  # a WAV of more than one channel, or an azimuth out of range
+        raise ValueError(f"{where}: {path}: {exc}") from exc
+
+
+def parse_scenario(path) -> dict:
+    """Read a scenario file of key=value lines ('#' starts a comment) into
+    synthesize_mixture's keyword arguments: spec, geometry and, when the
+    file sets it, seed.
+
+    Keys: target=path,azimuth; interferer=path,azimuth (repeatable); and the
+    keys of _SCENARIO_KEYS. Relative WAV paths are resolved against the
+    scenario file's directory. The WAVs are read once every line has parsed.
     """
     base = os.path.dirname(os.path.abspath(path))
-    target = None
-    scenario = Scenario(target_path="", target_azimuth=90.0)
+    target, interferers = None, []  # (where, WAV path, azimuth)
+    values = {"spec": {}, "geometry": {}, "call": {}}
     for where, key, value in key_value_lines(path):
         try:
             if key in ("target", "interferer"):
                 wav_path, comma, azimuth = (p.strip() for p in value.partition(","))
                 if not comma:
                     raise ValueError(f"expected path,azimuth, got {value!r}")
-                if not os.path.isabs(wav_path):
-                    wav_path = os.path.join(base, wav_path)
-                entry = (wav_path, float(azimuth))
-                if key == "target":
-                    if target is not None:
-                        raise ValueError("duplicate target line")
+                entry = (where, os.path.join(base, wav_path), float(azimuth))
+                if key == "interferer":
+                    interferers.append(entry)
+                elif target is None:
                     target = entry
                 else:
-                    scenario.interferers.append(entry)
-            elif key == "sir_db":
-                scenario.sir_db = float(value)
-            elif key == "sensor_noise_snr_db":
-                scenario.sensor_noise_snr_db = float(value)
-            elif key == "seed":
-                scenario.seed = int(value)
-            elif key == "echo_t60_ms":
-                scenario.echo_t60_ms = float(value)
-            elif key == "spacing_m":
-                scenario.spacing_m = float(value)
-            elif key == "sound_speed":
-                scenario.sound_speed = float(value)
+                    raise ValueError("duplicate target line")
+            elif key in _SCENARIO_KEYS:
+                group, name, parse = _SCENARIO_KEYS[key]
+                try:
+                    values[group][name] = parse(value)
+                except ValueError as exc:
+                    raise ValueError(f"{key}: {exc}") from exc
             else:
                 raise ValueError(f"unknown key {key!r}")
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from exc
     if target is None:
         raise ValueError(f"{path}: scenario has no target line")
-    scenario.target_path, scenario.target_azimuth = target
-    return scenario
+    spec = MixtureSpec(
+        _source(*target, "target"),
+        tuple(_source(*entry, "interference") for entry in interferers),
+        **values["spec"],
+    )
+    return {"spec": spec, "geometry": ArrayGeometry(**values["geometry"]), **values["call"]}
 
 
 def _control_curve(rng: np.random.Generator, n: int, rate_hz: float, sample_rate: int) -> np.ndarray:

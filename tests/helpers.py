@@ -356,7 +356,7 @@ def run_zoom_reference(mixture, config):
         output=beamformed.samples, beamformed=beamformed.samples, beamformed_spec=z, sigma2=sigma2
     )
     if config.bt_enabled:
-        grid = block_threshold_gains(z, sigma2, config.bt)
+        grid = block_threshold_gains(z_spec, sigma2, config.bt)
         output = istft(z_spec.with_coefficients(z * grid.gains), length=mixture.length)
         arrays.update(output=output.samples, gains=grid.gains, choices=grid.choices)
     return arrays

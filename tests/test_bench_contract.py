@@ -1,9 +1,11 @@
-"""The benchmark tracer still fits the package: names resolve, spans nest, counts hold.
+"""The benchmark still fits the package: traced names resolve, spans nest,
+counts hold, and the workloads build and run their scenes.
 
-perfbench/spans.py is loaded by path and only read. It wraps package
-functions by name and counts work from their results, so a renamed function
-or a changed result shape would otherwise show only in the benchmark's own
-self-test.
+perfbench/spans.py and perfbench/workloads.py are loaded by path and only
+read. The tracer wraps package functions by name and counts work from their
+results, and the workloads call the simulator and the pipeline directly, so
+a renamed function, a changed signature or a changed result shape would
+otherwise show only in the benchmark's own runs.
 """
 
 import importlib
@@ -17,12 +19,12 @@ from helpers import default_scene, echoic_scene_10s, usable_cpus
 from audiozoom import dsp, pipeline
 from audiozoom.pipeline import PipelineConfig
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SWEEP_LENGTHS = (32, 64)
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+def _load_perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module
     try:
@@ -33,7 +35,7 @@ def _load_spans():
 
 
 def test_traced_names_resolve():
-    spans = _load_spans()
+    spans = _load_perfbench("spans")
     for module_name, functions in spans.TRACED.items():
         module = importlib.import_module(f"audiozoom.{module_name}")
         for func_name in functions:
@@ -44,7 +46,7 @@ def test_traced_names_resolve():
 @pytest.fixture(scope="module")
 def traced_ops():
     """(spans module, tracer, mpdr result, gjbf-auto result) of three traced operations."""
-    spans = _load_spans()
+    spans = _load_perfbench("spans")
     scene = default_scene(seed=1, duration_s=0.5)
     tracer = spans.Tracer()
     tracer.install()
@@ -98,7 +100,7 @@ def test_traced_sweep_spans(traced_ops):
 def test_traced_mpdr_zoom_counts_transforms():
     # The benchmark's self-test pins dsp.stft.calls == 2 and no GJBF on
     # long_mpdr; an MPDR zoom inverts only its output spectrogram.
-    spans = _load_spans()
+    spans = _load_perfbench("spans")
     scene = default_scene(seed=1, duration_s=0.5)
     tracer = spans.Tracer()
     tracer.install()
@@ -116,7 +118,7 @@ def test_traced_split_mpdr_zoom_keeps_its_spans_on_the_op_thread():
     # At 10 s the whole-grid passes split into spans on threads of their own.
     # Those threads call only private code and NumPy, so the counts the
     # benchmark pins stay exact, and every recorded span is on the op's thread.
-    spans = _load_spans()
+    spans = _load_perfbench("spans")
     mixture = echoic_scene_10s().mixture
     tracer = spans.Tracer()
     tracer.install()
@@ -132,3 +134,14 @@ def test_traced_split_mpdr_zoom_keeps_its_spans_on_the_op_thread():
     assert names.count("dsp.istft") == 1
     (op,) = [span for span in tracer.spans if span.name == spans.OP_SPAN]
     assert {span.thread for span in tracer.spans} == {op.thread}
+
+
+@pytest.mark.parametrize("name", ["short_scored", "gjbf_auto"])
+def test_workload_sets_up_and_runs_one_op(tmp_path, name):
+    # At a tenth of the benchmark's scene length: 0.2 s scenes for
+    # short_scored, 1 s for gjbf_auto (long enough for every sweep length).
+    workloads = _load_perfbench("workloads")
+    workload = workloads.WORKLOADS[name](seed=1, workdir=str(tmp_path), scale=0.1)
+    workload.setup()
+    out = workload.op(0)
+    assert workload.check(out) is None

@@ -28,6 +28,12 @@ def _spec(coeffs, frame=64):
     return Spectrogram(coeffs, params, FS)
 
 
+def _grid(z):
+    # z as a Spectrogram: an STFT grid of 2^k / 2 + 1 bins (or of one bin).
+    frame = 2 * (z.shape[0] - 1) or 1
+    return Spectrogram(z, StftParams(frame, frame), FS)
+
+
 class TestResidualVariance:
     def _three(self, seed=0, bins=33, frames=12):
         rng = np.random.default_rng(seed)
@@ -193,11 +199,14 @@ class TestEnumeratePartitions:
 
 def _one_block(z, sigma2, frames, bins, levels):
     # One macro-block covering the whole region: (gains, its choice record, its tiling).
+    # No STFT grid has 4 or 16 bins, so the region is the top of a grid one
+    # silent bin taller; that bin is a macro-block row of its own.
     params = BlockThresholdParams(frames, bins, levels)
-    grid = block_threshold_gains(z, sigma2, params)
-    (choice,) = grid.choices
+    pad = ((0, 1), (0, 0))
+    grid = block_threshold_gains(_grid(np.pad(z, pad)), np.pad(sigma2, pad), params)
+    choice, _ = grid.choices
     (tiling,) = [t for t in enumerate_partitions(frames, bins, choice["levels"]) if t.v == choice["v"]]
-    return grid.gains, choice, tiling
+    return grid.gains[:bins], choice, tiling
 
 
 def _sub_block_snr(z, sigma2, tiling):
@@ -229,11 +238,11 @@ class TestBlockSnr:
         # A macro-block the size of one sub-block has exactly that tiling, so
         # its gain is the attenuation of that sub-block's SNR.
         rng = np.random.default_rng(5)
-        z = rng.standard_normal((16, 8)) + 1j * rng.standard_normal((16, 8))
-        sigma2 = rng.uniform(0.1, 2.0, (16, 8))
-        for tiling in enumerate_partitions(8, 16, 4):
+        z = rng.standard_normal((17, 8)) + 1j * rng.standard_normal((17, 8))
+        sigma2 = rng.uniform(0.1, 2.0, (17, 8))
+        for tiling in enumerate_partitions(8, 16, 4):  # over the first 16 of the 17 bins
             params = BlockThresholdParams(tiling.sub_frames, tiling.sub_bins, 4)
-            got = block_threshold_gains(z, sigma2, params).gains
+            got = block_threshold_gains(_grid(z), sigma2, params).gains
             rows = 16 // tiling.sub_bins
             cols = 8 // tiling.sub_frames
             for r in range(rows):
@@ -348,7 +357,9 @@ class TestApplyBlockThreshold:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(ValueError, match="input level overflows the post-filter"):
-                block_threshold_gains(1e200 * spec.coefficients, np.ones(spec.coefficients.shape))
+                block_threshold_gains(
+                    spec.with_coefficients(1e200 * spec.coefficients), np.ones(spec.coefficients.shape)
+                )
         assert not caught
 
     def test_matched_noise_mostly_suppressed(self):
@@ -375,7 +386,7 @@ class TestApplyBlockThreshold:
         spec, rng = self._random_spec(10)
         sigma2 = rng.uniform(0.1, 2.0, spec.coefficients.shape)
         once = spec.coefficients * block_threshold_gains(spec, sigma2).gains
-        twice = once * block_threshold_gains(once, sigma2).gains
+        twice = once * block_threshold_gains(spec.with_coefficients(once), sigma2).gains
         assert np.all(np.abs(twice) <= np.abs(once) + 1e-15)
 
     def test_gains_and_choices_cover_grid(self):
@@ -456,7 +467,7 @@ def _assert_same_grid(got, want):
 
 def _assert_matches_reference(z, sigma2, params):
     _assert_same_grid(
-        block_threshold_gains(z, sigma2, params), block_threshold_reference(z, sigma2, params)
+        block_threshold_gains(_grid(z), sigma2, params), block_threshold_reference(z, sigma2, params)
     )
 
 
@@ -486,7 +497,7 @@ class TestBatchedMatchesReference:
         # and so does the oracle, whose means also come from pairwise halving.
         z = np.full((257, 101), np.sqrt(power), dtype=complex)
         sigma2 = np.full(z.shape, variance)
-        grid = block_threshold_gains(z, sigma2, params)
+        grid = block_threshold_gains(_grid(z), sigma2, params)
         assert np.all(grid.choices["v"] == 0)
         _assert_same_grid(grid, block_threshold_reference(z, sigma2, params))
 
@@ -504,7 +515,7 @@ class TestBatchedMatchesReference:
         # Silent input has a zero floor, and every sub-block sits at it.
         z = np.zeros((65, 24), dtype=complex)
         sigma2 = np.zeros(z.shape)
-        grid = block_threshold_gains(z, sigma2, params)
+        grid = block_threshold_gains(_grid(z), sigma2, params)
         assert np.all(grid.gains == attenuation_factor(SNR_CAP))
         _assert_same_grid(grid, block_threshold_reference(z, sigma2, params))
 
@@ -527,7 +538,7 @@ def test_batched_core_calls_do_not_grow_with_macro_blocks(monkeypatch):
         sigma2 = rng.uniform(0.1, 2.0, (257, frames))
         calls.clear()
         with usable_cpus(1):  # one span, so one core call per region
-            grid = block_threshold_gains(power, sigma2)
+            grid = block_threshold_gains(_grid(power), sigma2)
         assert len(grid.choices) == 17 * -(-frames // 8)
         counts.append(len(calls))
     assert counts[0] == counts[1] <= 4
@@ -548,7 +559,7 @@ def test_each_region_scores_distinct_tilings(monkeypatch):
     for params in ORACLE_PARAMS:
         power = rng.uniform(0.0, 2.0, (257, 101))
         with usable_cpus(1):
-            block_threshold_gains(power, rng.uniform(0.1, 2.0, power.shape), params)
+            block_threshold_gains(_grid(power), rng.uniform(0.1, 2.0, power.shape), params)
     assert extents
     assert all(len(set(region)) == len(region) for region in extents)
     assert [(1, 16), (8, 2), (4, 4), (2, 8)] in extents  # the default interior, v=0..3

@@ -11,7 +11,6 @@ from audiozoom.gjbf import GjbfConfig, fdaf_gjbf
 from audiozoom.metrics import (
     EvalReport,
     align_delay_and_scale,
-    build_report,
     decompose_linear,
     mse_db,
     osinr_db,
@@ -203,19 +202,21 @@ class TestShadowGains:
 
 class TestEvalReport:
     def test_gain_field_consistency(self):
-        report = build_report(1.0, 7.5, -20.0)
+        report = EvalReport(input_sinr_db=1.0, osinr_db=7.5, mse_db=-20.0)
         assert report.sinr_gain_db == pytest.approx(report.osinr_db - report.input_sinr_db, abs=1e-9)
 
     def test_csv_round_trip_fields(self):
-        report = build_report(0.0, 10.0, -15.0, osinr_beamformer_db=5.0, mse_beamformer_db=-9.0)
+        report = EvalReport(0.0, 10.0, -15.0, osinr_beamformer_db=5.0, mse_beamformer_db=-9.0)
         header = EvalReport.csv_header().split(",")
         row = report.to_csv_row().split(",")
         assert len(header) == len(row) == 6
-        assert header[0] == "input_sinr_db"
-        assert float(row[1]) == pytest.approx(10.0)
+        assert header == [
+            "input_sinr_db", "osinr_db", "sinr_gain_db", "mse_db", "osinr_beamformer_db", "mse_beamformer_db"
+        ]
+        assert [float(value) for value in row] == [0.0, 10.0, 10.0, -15.0, 5.0, -9.0]
 
     def test_text_format_mentions_every_field(self):
-        report = build_report(0.0, 10.0, -15.0)
+        report = EvalReport(input_sinr_db=0.0, osinr_db=10.0, mse_db=-15.0)
         text = report.format_text()
         for name in ("input_sinr_db", "osinr_db", "sinr_gain_db", "mse_db"):
             assert name in text

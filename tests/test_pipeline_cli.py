@@ -686,7 +686,7 @@ class TestCliTruncatedWav:
 
     def test_sweep(self, tmp_path, capsys, cut_wav):
         out = tmp_path / "curve.csv"
-        assert main(["sweep", str(cut_wav), "--lengths", "32,64", "--out", str(out)]) == 2
+        assert main(["sweep", str(cut_wav), "--gjbf-sweep", "32,64", "--out", str(out)]) == 2
         self._assert_data_error(capsys, cut_wav)
         assert not out.exists()
 
@@ -710,7 +710,7 @@ class TestCliSweep:
         capsys.readouterr()
         out_csv = tmp_path / "curve.csv"
         code = main(
-            ["sweep", prefix + "mixture.wav", "--lengths", "32,64,128", "--out", str(out_csv)]
+            ["sweep", prefix + "mixture.wav", "--gjbf-sweep", "32,64,128", "--out", str(out_csv)]
         )
         assert code == 0
         printed = capsys.readouterr().out
@@ -729,10 +729,19 @@ class TestCliSweep:
         main(["simulate", str(scenario), prefix])
         a_csv = tmp_path / "a.csv"
         b_csv = tmp_path / "b.csv"
-        main(["sweep", prefix + "mixture.wav", "--lengths", "32,64", "--out", str(a_csv)])
-        main(["sweep", prefix + "mixture.wav", "--lengths", "32,64", "--out", str(b_csv)])
+        main(["sweep", prefix + "mixture.wav", "--gjbf-sweep", "32,64", "--out", str(a_csv)])
+        main(["sweep", prefix + "mixture.wav", "--gjbf-sweep", "32,64", "--out", str(b_csv)])
         capsys.readouterr()
         assert a_csv.read_text() == b_csv.read_text()
+
+    def test_default_candidates_are_the_default_sweep(self, tmp_path, capsys):
+        scenario = _write_scene_inputs(tmp_path, seed=47)
+        prefix = str(tmp_path / "s_")
+        main(["simulate", str(scenario), prefix])
+        out_csv = tmp_path / "curve.csv"
+        assert main(["sweep", prefix + "mixture.wav", "--out", str(out_csv)]) == 0
+        rows = out_csv.read_text().splitlines()[1:]
+        assert tuple(int(row.split(",")[0]) for row in rows) == DEFAULT_SWEEP_LENGTHS
 
 
 class TestCliSettings:
@@ -749,16 +758,22 @@ class TestCliSettings:
             ["zoom", "--beamformer", "gjbf", "--gjbf-length", "auto", "--gjbf-sweep", ","],
             ["zoom", "--beamformer", "gjbf", "--gjbf-length", "auto", "--gjbf-sweep", "a,b"],
             ["zoom", "--gjbf-length", "abc"],
-            ["sweep", "--lengths", "a,b"],
-            ["sweep", "--lengths", ","],
-            ["sweep", "--lengths", "100"],
-            ["sweep", "--lengths", "100,100"],
-            ["sweep", "--lengths", "-5,100"],
+            ["sweep", "--gjbf-sweep", "a,b"],
+            ["sweep", "--gjbf-sweep", ","],
+            ["sweep", "--gjbf-sweep", "100"],
+            ["sweep", "--gjbf-sweep", "100,100"],
+            ["sweep", "--gjbf-sweep", "-5,100"],
             ["zoom", "--beamformer", "gjbf", "--gjbf-length", "auto", "--gjbf-sweep", "100,-5"],
             ["zoom", "--beamformer", "foo"],
             ["zoom", "--stft-window", "foo"],
             ["zoom", "--seed", "7"],
-            ["sweep", "--lengths", "32,64", "--seed", "7"],
+            ["sweep", "--gjbf-sweep", "32,64", "--seed", "7"],
+            ["zoom", "--gjbf-length", "0"],
+            ["zoom", "--gjbf-block", "0"],
+            ["zoom", "--gjbf-mu", "5"],
+            ["zoom", "--bt-H", "-1"],
+            ["sweep", "--lengths", "32,64"],
+            ["zoom", "--gjbf-sweep", "100"],
         ],
     )
     def test_bad_flag_is_usage_error(self, tmp_path, capsys, wav, command):
@@ -769,16 +784,13 @@ class TestCliSettings:
         assert err.value.code == 1
         assert "error: " in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--lengths", "--gjbf-sweep"])
-    def test_nonpositive_length_names_the_form(self, tmp_path, capsys, wav, flag):
-        if flag == "--lengths":
-            command = ["sweep", wav]
-        else:
-            command = ["zoom", wav, str(tmp_path / "o.wav"), "--beamformer", "gjbf", "--gjbf-length", "auto"]
+    @pytest.mark.parametrize("name", ["sweep", "zoom"])
+    def test_nonpositive_length_names_the_form(self, tmp_path, capsys, wav, name):
+        outputs = [str(tmp_path / "o.wav")] if name == "zoom" else []
         with pytest.raises(SystemExit) as err:
-            main([*command, flag, "0,100"])
+            main([name, wav, *outputs, "--gjbf-sweep", "0,100"])
         assert err.value.code == 1
-        assert f"error: argument {flag}: expected comma-separated positive integers, got '0,100'" in (
+        assert "error: argument --gjbf-sweep: expected comma-separated positive integers, got '0,100'" in (
             capsys.readouterr().err
         )
 
@@ -788,7 +800,7 @@ class TestCliSettings:
         tail = {
             "zoom": [str(tmp_path / "o.wav"), "--beamformer", "gjbf", "--gjbf-length", "auto",
                      "--gjbf-sweep", "100,1000000,50"],
-            "sweep": ["--lengths", "100,1000000,50", "--out", str(tmp_path / "c.csv")],
+            "sweep": ["--gjbf-sweep", "100,1000000,50", "--out", str(tmp_path / "c.csv")],
         }
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -808,10 +820,10 @@ class TestCliSettings:
             (["zoom", "--beamformer", "gjbf", "--gjbf-length", "auto"], "gjbf_sweep=,"),
             (["zoom"], "gjbf_sweep=a,b"),
             (["zoom"], "gjbf_length=abc"),
-            (["sweep", "--lengths", "32,64"], "gjbf_length=abc"),
+            (["sweep"], "gjbf_length=abc"),
             (["zoom"], "beamformer=foo"),
             (["zoom"], "seed=7"),
-            (["sweep", "--lengths", "32,64"], "seed=7"),
+            (["sweep"], "seed=7"),
             (["zoom", "--beamformer", "gjbf", "--gjbf-length", "auto"], "gjbf_sweep=0,100"),
         ],
     )
@@ -844,6 +856,33 @@ class TestCliSettings:
         assert again == echo
         assert first.read_bytes() == second.read_bytes()
 
+    def test_sweep_reads_zoom_echoed_config(self, tmp_path, capsys, wav):
+        # sweep takes its candidates and GJBF settings from the file zoom's echo makes.
+        flags = ["--beamformer", "gjbf", "--gjbf-length", "auto", "--gjbf-sweep", "32,64,128",
+                 "--gjbf-mu", "0.1"]
+        assert main(["zoom", wav, str(tmp_path / "o.wav"), *flags]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        cfg = tmp_path / "echo.cfg"
+        cfg.write_text("".join(l[len("config "):] + "\n" for l in printed if l.startswith("config ")))
+        out_csv = tmp_path / "c.csv"
+        assert main(["sweep", wav, "--config", str(cfg), "--out", str(out_csv)]) == 0
+        swept = capsys.readouterr().out.splitlines()
+        chosen = [l for l in printed if l.startswith("chosen_length=")]
+        assert chosen and [l for l in swept if l.startswith("chosen_length=")] == chosen
+        rows = out_csv.read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["32", "64", "128"]
+
+    @pytest.mark.parametrize("line", ["gjbf_length=0", "gjbf_block=0", "gjbf_mu=5", "bt_h=-1"])
+    def test_out_of_range_config_value_is_data_error(self, tmp_path, capsys, wav, line):
+        # The same values as flags are usage errors (test_bad_flag_is_usage_error).
+        cfg = tmp_path / "range.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "o.wav"
+        assert main(["zoom", wav, str(out), "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"audiozoom: {cfg}: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_mpdr_overflow_is_data_error(self, tmp_path, capsys):
         huge = tmp_path / "huge.wav"
         mixture = default_scene(seed=1).mixture
@@ -866,7 +905,7 @@ class TestCliSettings:
         huge = self._huge_gjbf_wav(tmp_path)
         tail = {
             "zoom": [str(tmp_path / "o.wav"), "--beamformer", "gjbf"],
-            "sweep": ["--lengths", "32,64", "--out", str(tmp_path / "c.csv")],
+            "sweep": ["--gjbf-sweep", "32,64", "--out", str(tmp_path / "c.csv")],
         }
         assert main([command, str(huge), *tail[command]]) == 2
         err = capsys.readouterr().err

@@ -1,6 +1,8 @@
 """Tests for geometry, fractional delay, and mixture synthesis."""
 
+import inspect
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from audiozoom.simulate import (
     synthesize_mixture,
     two_mic_array,
 )
+from audiozoom.wav import read_wav, write_wav
 
 FS = 16000
 
@@ -256,9 +259,26 @@ class TestSynthesizeMixture:
         assert np.abs(result.target_image.samples[0] - _noise(seed=14).samples[0]).max() > 1e-3
 
 
+def _scenario_settings(kwargs) -> dict:
+    # Every setting a parsed scenario carries, by name, except its source signals.
+    spec, geometry = kwargs["spec"], kwargs["geometry"]
+    settings = {f"spec.{f.name}": getattr(spec, f.name) for f in fields(spec)}
+    settings["spec.target"] = (spec.target.azimuth_deg, spec.target.role)
+    settings["spec.interferers"] = [(s.azimuth_deg, s.role) for s in spec.interferers]
+    settings.update((f"geometry.{f.name}", getattr(geometry, f.name)) for f in fields(geometry))
+    settings["seed"] = kwargs.get("seed", inspect.signature(synthesize_mixture).parameters["seed"].default)
+    return settings
+
+
 class TestScenarioParsing:
-    def test_full_scenario(self, tmp_path):
-        path = tmp_path / "scene.txt"
+    @pytest.fixture
+    def scene_dir(self, tmp_path):
+        for k, name in enumerate(("target.wav", "interf.wav", "other.wav")):
+            write_wav(tmp_path / name, _noise(0.25, seed=20 + k))
+        return tmp_path
+
+    def test_full_scenario(self, scene_dir):
+        path = scene_dir / "scene.txt"
         path.write_text(
             "# demo scene\n"
             "target=target.wav,90\n"
@@ -270,14 +290,64 @@ class TestScenarioParsing:
             "echo_t60_ms=100\n"
             "spacing_m=0.1\n"
         )
-        scenario = parse_scenario(path)
-        assert scenario.target_azimuth == 90.0
-        assert scenario.target_path.endswith("target.wav")
-        assert len(scenario.interferers) == 2
-        assert scenario.sir_db == 0.0
-        assert scenario.sensor_noise_snr_db == 30.0
-        assert scenario.seed == 5
-        assert scenario.echo_t60_ms == 100.0
+        kwargs = parse_scenario(path)
+        spec = kwargs["spec"]
+        assert spec.target.azimuth_deg == 90.0
+        assert np.array_equal(spec.target.signal.samples, read_wav(scene_dir / "target.wav").samples)
+        assert [s.azimuth_deg for s in spec.interferers] == [60.0, 120.0]
+        assert spec.sir_db == 0.0
+        assert spec.sensor_noise_snr_db == 30.0
+        assert spec.echo_taps == echo_taps_for_t60(0.1)
+        assert kwargs["geometry"] == ArrayGeometry(0.1)
+        assert kwargs["seed"] == 5
+
+    def test_target_only_builds_the_defaults(self, scene_dir):
+        # MixtureSpec(target), two_mic_array() and synthesize_mixture's own default seed.
+        path = scene_dir / "scene.txt"
+        path.write_text("target=target.wav,90\n")
+        kwargs = parse_scenario(path)
+        assert sorted(kwargs) == ["geometry", "spec"]
+        target = SourceSpec(90.0, read_wav(scene_dir / "target.wav"))
+        want = {"spec": MixtureSpec(target), "geometry": two_mic_array()}
+        assert _scenario_settings(kwargs) == _scenario_settings(want)
+        got, expected = synthesize_mixture(**kwargs), synthesize_mixture(MixtureSpec(target), two_mic_array())
+        assert np.array_equal(got.mixture.samples, expected.mixture.samples)
+
+    @pytest.mark.parametrize(
+        "line, name, value",
+        [
+            ("sir_db=6", "spec.sir_db", 6.0),
+            ("sensor_noise_snr_db=30", "spec.sensor_noise_snr_db", 30.0),
+            ("echo_t60_ms=100", "spec.echo_taps", echo_taps_for_t60(0.1)),
+            ("spacing_m=0.08", "geometry.spacing_m", 0.08),
+            ("sound_speed=340", "geometry.sound_speed", 340.0),
+            ("seed=5", "seed", 5),
+            ("interferer=interf.wav,60", "spec.interferers", [(60.0, "interference")]),
+        ],
+    )
+    def test_each_key_sets_the_one_field_it_names(self, scene_dir, line, name, value):
+        path = scene_dir / "scene.txt"
+        path.write_text("target=target.wav,90\n")
+        want = _scenario_settings(parse_scenario(path))
+        want[name] = value
+        path.write_text(f"target=target.wav,90\n{line}\n")
+        assert _scenario_settings(parse_scenario(path)) == want
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("interferer=stereo.wav,60", "stereo.wav: source signals must be single-channel"),
+            ("interferer=mono.wav,200", "mono.wav: azimuth must be in [0, 180] degrees"),
+        ],
+    )
+    def test_bad_source_names_its_line_and_wav(self, tmp_path, line, message):
+        write_wav(tmp_path / "stereo.wav", AudioBuffer(np.zeros((2, 800)), FS))
+        write_wav(tmp_path / "mono.wav", AudioBuffer(np.ones(800), FS))
+        path = tmp_path / "scene.txt"
+        path.write_text(f"target=mono.wav,90\n{line}\n")
+        with pytest.raises(ValueError) as err:
+            parse_scenario(path)
+        assert str(err.value) == f"{path}:2: {tmp_path / message}"
 
     def test_error_carries_line_number(self, tmp_path):
         path = tmp_path / "bad.txt"
