@@ -1,4 +1,4 @@
-"""Command-line interface: simulate, zoom, eval, sweep.
+"""Command-line interface: simulate, zoom, eval.
 
 Exit codes: 0 success, 1 usage error, 2 data error. CSV dumps use '.' as the
 decimal mark, ',' as the separator, and carry a header row.
@@ -16,7 +16,6 @@ from operator import attrgetter
 import numpy as np
 
 from .dsp import WINDOW_KINDS, AudioBuffer
-from .gjbf import select_filter_length
 from .metrics import MAX_SHIFT, EvalReport, mse_db, osinr_db, project_onto_reference
 from .pipeline import BEAMFORMERS, DEFAULT_SWEEP_LENGTHS, PipelineConfig, normalize_peak, run_zoom
 from .simulate import key_value_lines, parse_scenario, synthesize_mixture
@@ -254,6 +253,10 @@ def cmd_zoom(args) -> int:
             choices = result.block_grid.choices
             header = ",".join(choices.dtype.names)
             np.savetxt(args.dump + "bt_blocks.csv", choices, "%d", ",", header=header, comments="")
+        if result.sweep_curve is not None:
+            with open(args.dump + "sweep.csv", "w", encoding="utf-8") as handle:
+                handle.write("length,power_reduction_db\n")
+                handle.writelines(f"{length},{score:.6f}\n" for length, score in result.sweep_curve)
         print(f"wrote dumps with prefix {args.dump}")
     return 0
 
@@ -301,25 +304,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    settings, config = _effective_config(args)
-    mixture = _load_stereo(args.input)
-    try:
-        best, curve, _, _ = select_filter_length(
-            mixture.channel(0), mixture.channel(1), settings["gjbf_sweep"], config.gjbf
-        )
-    except RuntimeError as exc:  # every candidate's adaptive filter diverged
-        raise DataError(str(exc)) from exc
-    out_path = args.out or "sweep.csv"
-    with open(out_path, "w", encoding="utf-8") as handle:
-        handle.write("length,power_reduction_db\n")
-        for length, value in curve:
-            handle.write(f"{length},{value:.6f}\n")
-    print(f"wrote {out_path}")
-    print(f"chosen_length={best}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="audiozoom", description="Two-microphone audio zooming toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -343,12 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     evalp.add_argument("--report", help="append a CSV row to this file")
     evalp.add_argument("--max-shift", type=_nonnegative_int, default=MAX_SHIFT, dest="max_shift")
     evalp.set_defaults(func=cmd_eval)
-
-    sweep = sub.add_parser("sweep", help="sweep the adaptive filter lengths that gjbf_sweep sets")
-    sweep.add_argument("input", help="2-channel WAV")
-    sweep.add_argument("--out", help="CSV output path (default sweep.csv)")
-    _add_pipeline_flags(sweep)
-    sweep.set_defaults(func=cmd_sweep)
     return parser
 
 

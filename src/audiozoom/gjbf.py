@@ -269,10 +269,11 @@ def select_filter_length(
 ) -> tuple:
     """Sweep candidate filter lengths and keep the one with the least output power.
 
-    Duplicates are dropped; each candidate runs in turn, with block size and
-    alignment derived from its own length, and scores its output power
-    against the fixed path's, in dB (higher is better), the quantity the
-    adaptive path minimises. Returns (best_length, curve, z, state): curve
+    Duplicates are dropped; each candidate runs in turn with config at its
+    own length: the alignment follows the length, and so does the block
+    unless config.block_size sets it. Each scores its output power against
+    the fixed path's, in dB (higher is better), the quantity the adaptive
+    path minimises. Returns (best_length, curve, z, state): curve
     lists (length, score_db) per candidate in input order, ties go to the
     smaller length, and z and state are the winning run's output and
     AdaptiveFilterState, as fdaf_gjbf returns them for that length.
@@ -291,7 +292,7 @@ def select_filter_length(
 
     def run(length: int) -> float:
         nonlocal winner
-        trial = replace(config, filter_length=length, block_size=None)
+        trial = replace(config, filter_length=length)
         z, state = fdaf_gjbf(ch1, ch2, trial)[::2]
         score = _power_score_db(fixed_power, z.samples[0])
         if winner is None or (-score, length) < winner[0]:

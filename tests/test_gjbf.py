@@ -579,6 +579,23 @@ class TestSelectFilterLength:
         assert np.array_equal(z.samples, z_want.samples)
         assert np.array_equal(state.trajectory, state_want.trajectory)
 
+    def test_explicit_block_size_reaches_every_candidate(self, monkeypatch):
+        scene = self._scene()
+        ch1, ch2 = scene.mixture.channel(0), scene.mixture.channel(1)
+        states = []
+        real = gjbf.fdaf_gjbf
+
+        def recorded(*args):
+            result = real(*args)
+            states.append(result[2])
+            return result
+
+        monkeypatch.setattr(gjbf, "fdaf_gjbf", recorded)
+        best, _, _, state = select_filter_length(ch1, ch2, [32, 64, 128], GjbfConfig(block_size=48))
+        assert [s.config.filter_length for s in states] == [32, 64, 128]
+        assert [s.config.block for s in states] == [48, 48, 48]
+        assert state.config == GjbfConfig(filter_length=best, block_size=48)
+
     def test_too_few_candidates_rejected(self):
         rng = np.random.default_rng(12)
         x = AudioBuffer(rng.standard_normal(FS), FS)

@@ -12,7 +12,7 @@ from helpers import FS, block_threshold_reference, default_scene, run_zoom_refer
 from scipy.io import wavfile
 
 from audiozoom import gjbf, pipeline
-from audiozoom.cli import _write_matrix_csv, main
+from audiozoom.cli import _SETTINGS, _write_matrix_csv, main
 from audiozoom.dsp import AudioBuffer, istft, stft
 from audiozoom.gjbf import GjbfConfig, apply_gjbf, fdaf_gjbf
 from audiozoom.metrics import EvalReport, decompose_linear
@@ -302,6 +302,10 @@ class TestBeamformedWaveform:
             assert peak <= bound * result.beamformed_spec.coefficients.nbytes, count
 
 
+# The zoom flags that run the filter-length sweep.
+_SWEEP = ["--beamformer", "gjbf", "--gjbf-length", "auto"]
+
+
 def _write_scene_inputs(tmp_path, seed=30, duration=1.0):
     target = speech_like(duration, FS, seed=seed)
     interferer = speech_like(duration, FS, seed=seed + 1000)
@@ -451,6 +455,7 @@ class TestCliZoom:
         assert main(["zoom", str(path), str(out), "--dump", dump]) == 0
         for name in ("beamformed_mag.csv", "output_mag.csv", "bt_gains.csv", "bt_blocks.csv"):
             assert os.path.exists(dump + name)
+        assert not os.path.exists(dump + "sweep.csv")  # written only when the length sweep ran
         with open(dump + "bt_gains.csv") as handle:
             header = handle.readline()
         assert header.startswith("bin,frame_0,")
@@ -685,10 +690,10 @@ class TestCliTruncatedWav:
         assert not report.exists()
 
     def test_sweep(self, tmp_path, capsys, cut_wav):
-        out = tmp_path / "curve.csv"
-        assert main(["sweep", str(cut_wav), "--gjbf-sweep", "32,64", "--out", str(out)]) == 2
+        argv = ["zoom", str(cut_wav), str(tmp_path / "o.wav"), *_SWEEP, "--dump", str(tmp_path / "d_")]
+        assert main(argv) == 2
         self._assert_data_error(capsys, cut_wav)
-        assert not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cut.wav"]
 
     @pytest.mark.parametrize("role", ["target", "interferer"])
     def test_simulate_scenario_wav(self, tmp_path, capsys, cut_wav, role):
@@ -703,20 +708,30 @@ class TestCliTruncatedWav:
 
 
 class TestCliSweep:
-    def test_sweep_writes_curve_and_choice(self, tmp_path, capsys):
-        scenario = _write_scene_inputs(tmp_path, seed=43)
+    """zoom --gjbf-length auto runs the length sweep, and --dump writes its curve."""
+
+    @staticmethod
+    def _mixture(tmp_path, capsys, seed):
+        scenario = _write_scene_inputs(tmp_path, seed=seed)
         prefix = str(tmp_path / "s_")
         main(["simulate", str(scenario), prefix])
         capsys.readouterr()
-        out_csv = tmp_path / "curve.csv"
-        code = main(
-            ["sweep", prefix + "mixture.wav", "--gjbf-sweep", "32,64,128", "--out", str(out_csv)]
-        )
-        assert code == 0
-        printed = capsys.readouterr().out
-        lines = out_csv.read_text().splitlines()
-        assert lines[0] == "length,power_reduction_db"
-        assert len(lines) == 4
+        return prefix + "mixture.wav"
+
+    @staticmethod
+    def _sweep(tmp_path, capsys, mixture, dump, *flags):
+        # (stdout, lines of the dumped sweep.csv) of one zoom run that sweeps.
+        argv = ["zoom", mixture, str(tmp_path / (dump + "o.wav")), *_SWEEP,
+                "--dump", str(tmp_path / dump), *flags]
+        assert main(argv) == 0
+        return capsys.readouterr().out, (tmp_path / (dump + "sweep.csv")).read_text().splitlines()
+
+    def test_sweep_writes_curve_and_choice(self, tmp_path, capsys):
+        mixture = self._mixture(tmp_path, capsys, seed=43)
+        printed, lines = self._sweep(tmp_path, capsys, mixture, "d_", "--gjbf-sweep", "32,64,128")
+        config = PipelineConfig(beamformer="gjbf", gjbf_auto_lengths=(32, 64, 128))
+        curve = run_zoom(read_wav(mixture), config).sweep_curve
+        assert lines == ["length,power_reduction_db"] + [f"{n},{score:.6f}" for n, score in curve]
         chosen = int(
             [l for l in printed.splitlines() if l.startswith("chosen_length=")][0].split("=")[1]
         )
@@ -724,24 +739,37 @@ class TestCliSweep:
         assert values[chosen] == max(values.values())
 
     def test_sweep_deterministic(self, tmp_path, capsys):
-        scenario = _write_scene_inputs(tmp_path, seed=44)
-        prefix = str(tmp_path / "s_")
-        main(["simulate", str(scenario), prefix])
-        a_csv = tmp_path / "a.csv"
-        b_csv = tmp_path / "b.csv"
-        main(["sweep", prefix + "mixture.wav", "--gjbf-sweep", "32,64", "--out", str(a_csv)])
-        main(["sweep", prefix + "mixture.wav", "--gjbf-sweep", "32,64", "--out", str(b_csv)])
-        capsys.readouterr()
-        assert a_csv.read_text() == b_csv.read_text()
+        mixture = self._mixture(tmp_path, capsys, seed=44)
+        _, a = self._sweep(tmp_path, capsys, mixture, "a_", "--gjbf-sweep", "32,64")
+        _, b = self._sweep(tmp_path, capsys, mixture, "b_", "--gjbf-sweep", "32,64")
+        assert a == b
+        assert (tmp_path / "a_o.wav").read_bytes() == (tmp_path / "b_o.wav").read_bytes()
 
     def test_default_candidates_are_the_default_sweep(self, tmp_path, capsys):
-        scenario = _write_scene_inputs(tmp_path, seed=47)
-        prefix = str(tmp_path / "s_")
-        main(["simulate", str(scenario), prefix])
-        out_csv = tmp_path / "curve.csv"
-        assert main(["sweep", prefix + "mixture.wav", "--out", str(out_csv)]) == 0
-        rows = out_csv.read_text().splitlines()[1:]
-        assert tuple(int(row.split(",")[0]) for row in rows) == DEFAULT_SWEEP_LENGTHS
+        mixture = self._mixture(tmp_path, capsys, seed=47)
+        _, lines = self._sweep(tmp_path, capsys, mixture, "d_")
+        assert tuple(int(row.split(",")[0]) for row in lines[1:]) == DEFAULT_SWEEP_LENGTHS
+
+
+# One non-default value per pipeline setting, and the run it configures:
+# "auto" is zoom --gjbf-length auto, the length sweep.
+_CHANGED_SETTINGS = [
+    ("beamformer", "gjbf", "mpdr"),
+    ("stft_frame", "1024", "mpdr"),
+    ("stft_hop", "128", "mpdr"),
+    ("stft_window", "hann", "mpdr"),
+    ("mpdr_alpha", "0.5", "mpdr"),
+    ("gjbf_length", "100", "gjbf"),
+    ("gjbf_mu", "0.1", "gjbf"),
+    ("gjbf_block", "64", "auto"),
+    ("gjbf_leak", "0.01", "gjbf"),
+    ("gjbf_sweep", "32,64", "auto"),
+    ("bt_enabled", "false", "mpdr"),
+    ("bt_macro", "4x8", "mpdr"),
+    ("bt_h", "2", "mpdr"),
+    ("bt_threshold", "2.0", "mpdr"),
+]
+_RUN_FLAGS = {"mpdr": ["--beamformer", "mpdr"], "gjbf": ["--beamformer", "gjbf"], "auto": _SWEEP}
 
 
 class TestCliSettings:
@@ -758,22 +786,23 @@ class TestCliSettings:
             ["zoom", "--beamformer", "gjbf", "--gjbf-length", "auto", "--gjbf-sweep", ","],
             ["zoom", "--beamformer", "gjbf", "--gjbf-length", "auto", "--gjbf-sweep", "a,b"],
             ["zoom", "--gjbf-length", "abc"],
-            ["sweep", "--gjbf-sweep", "a,b"],
-            ["sweep", "--gjbf-sweep", ","],
-            ["sweep", "--gjbf-sweep", "100"],
-            ["sweep", "--gjbf-sweep", "100,100"],
-            ["sweep", "--gjbf-sweep", "-5,100"],
+            ["zoom", *_SWEEP, "--gjbf-sweep", "1.5,64"],
+            ["zoom", *_SWEEP, "--out", "c.csv"],
+            ["zoom", *_SWEEP, "--gjbf-sweep", "100"],
+            ["zoom", *_SWEEP, "--gjbf-sweep", "100,100"],
+            ["zoom", *_SWEEP, "--gjbf-sweep", "-5,100"],
             ["zoom", "--beamformer", "gjbf", "--gjbf-length", "auto", "--gjbf-sweep", "100,-5"],
             ["zoom", "--beamformer", "foo"],
             ["zoom", "--stft-window", "foo"],
             ["zoom", "--seed", "7"],
-            ["sweep", "--gjbf-sweep", "32,64", "--seed", "7"],
+            ["zoom", *_SWEEP, "--gjbf-sweep", "32,64", "--seed", "7"],
             ["zoom", "--gjbf-length", "0"],
             ["zoom", "--gjbf-block", "0"],
             ["zoom", "--gjbf-mu", "5"],
             ["zoom", "--bt-H", "-1"],
-            ["sweep", "--lengths", "32,64"],
+            ["zoom", *_SWEEP, "--lengths", "32,64"],
             ["zoom", "--gjbf-sweep", "100"],
+            ["sweep"],  # no such subcommand: zoom --gjbf-length auto sweeps
         ],
     )
     def test_bad_flag_is_usage_error(self, tmp_path, capsys, wav, command):
@@ -784,34 +813,32 @@ class TestCliSettings:
         assert err.value.code == 1
         assert "error: " in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ["sweep", "zoom"])
-    def test_nonpositive_length_names_the_form(self, tmp_path, capsys, wav, name):
-        outputs = [str(tmp_path / "o.wav")] if name == "zoom" else []
+    @pytest.mark.parametrize("run", ["sweep", "zoom"])
+    def test_nonpositive_length_names_the_form(self, tmp_path, capsys, wav, run):
+        flags = _SWEEP if run == "sweep" else []
         with pytest.raises(SystemExit) as err:
-            main([name, wav, *outputs, "--gjbf-sweep", "0,100"])
+            main(["zoom", wav, str(tmp_path / "o.wav"), *flags, "--gjbf-sweep", "0,100"])
         assert err.value.code == 1
         assert "error: argument --gjbf-sweep: expected comma-separated positive integers, got '0,100'" in (
             capsys.readouterr().err
         )
 
-    @pytest.mark.parametrize("command", ["zoom", "sweep"])
-    def test_too_long_length_is_one_warning_line(self, tmp_path, capsys, wav, command):
+    @pytest.mark.parametrize("run", ["zoom", "sweep"])
+    def test_too_long_length_is_one_warning_line(self, tmp_path, capsys, wav, run):
         # 1000000 is longer than half of the 1 s input, so the sweep skips it and runs on.
-        tail = {
-            "zoom": [str(tmp_path / "o.wav"), "--beamformer", "gjbf", "--gjbf-length", "auto",
-                     "--gjbf-sweep", "100,1000000,50"],
-            "sweep": ["--gjbf-sweep", "100,1000000,50", "--out", str(tmp_path / "c.csv")],
-        }
+        # "sweep" adds --dump: the curve lists only the lengths that ran.
+        flags = ["--dump", str(tmp_path / "d_")] if run == "sweep" else []
+        argv = ["zoom", wav, str(tmp_path / "o.wav"), *_SWEEP, "--gjbf-sweep", "100,1000000,50"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main([command, wav, *tail[command]]) == 0
+            assert main([*argv, *flags]) == 0
         err = capsys.readouterr().err
         assert err.splitlines() == [
             "audiozoom: warning: filter length 1000000 skipped: "
             "signals must be longer than twice the filter length"
         ]
-        if command == "sweep":
-            rows = (tmp_path / "c.csv").read_text().splitlines()[1:]
+        if run == "sweep":
+            rows = (tmp_path / "d_sweep.csv").read_text().splitlines()[1:]
             assert [row.split(",")[0] for row in rows] == ["100", "50"]
 
     @pytest.mark.parametrize(
@@ -820,10 +847,10 @@ class TestCliSettings:
             (["zoom", "--beamformer", "gjbf", "--gjbf-length", "auto"], "gjbf_sweep=,"),
             (["zoom"], "gjbf_sweep=a,b"),
             (["zoom"], "gjbf_length=abc"),
-            (["sweep"], "gjbf_length=abc"),
+            (["zoom", *_SWEEP], "gjbf_length=abc"),
             (["zoom"], "beamformer=foo"),
             (["zoom"], "seed=7"),
-            (["sweep"], "seed=7"),
+            (["zoom", *_SWEEP], "seed=7"),
             (["zoom", "--beamformer", "gjbf", "--gjbf-length", "auto"], "gjbf_sweep=0,100"),
         ],
     )
@@ -831,8 +858,7 @@ class TestCliSettings:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"bt_h=4\n{line}\n")
         name, *flags = command
-        outputs = [str(tmp_path / "o.wav")] if name == "zoom" else []
-        assert main([name, wav, *outputs, *flags, "--config", str(cfg)]) == 2
+        assert main([name, wav, str(tmp_path / "o.wav"), *flags, "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("audiozoom: ")
         assert "bad.cfg:2: " in err and line.split("=")[0] in err
@@ -856,21 +882,23 @@ class TestCliSettings:
         assert again == echo
         assert first.read_bytes() == second.read_bytes()
 
-    def test_sweep_reads_zoom_echoed_config(self, tmp_path, capsys, wav):
-        # sweep takes its candidates and GJBF settings from the file zoom's echo makes.
-        flags = ["--beamformer", "gjbf", "--gjbf-length", "auto", "--gjbf-sweep", "32,64,128",
-                 "--gjbf-mu", "0.1"]
-        assert main(["zoom", wav, str(tmp_path / "o.wav"), *flags]) == 0
-        printed = capsys.readouterr().out.splitlines()
-        cfg = tmp_path / "echo.cfg"
-        cfg.write_text("".join(l[len("config "):] + "\n" for l in printed if l.startswith("config ")))
-        out_csv = tmp_path / "c.csv"
-        assert main(["sweep", wav, "--config", str(cfg), "--out", str(out_csv)]) == 0
-        swept = capsys.readouterr().out.splitlines()
-        chosen = [l for l in printed if l.startswith("chosen_length=")]
-        assert chosen and [l for l in swept if l.startswith("chosen_length=")] == chosen
-        rows = out_csv.read_text().splitlines()[1:]
-        assert [row.split(",")[0] for row in rows] == ["32", "64", "128"]
+    def test_every_setting_has_a_changed_value(self):
+        assert sorted(key for key, _, _ in _CHANGED_SETTINGS) == sorted(key for key, *_ in _SETTINGS)
+
+    @pytest.mark.parametrize("key, value, run", _CHANGED_SETTINGS)
+    def test_every_setting_changes_the_run(self, tmp_path, capsys, key, value, run):
+        # No silent setting: each flag changes the output of the run it configures
+        # (gjbf_sweep: the swept curve, which can pick the same length).
+        path = tmp_path / "in.wav"
+        write_wav(path, default_scene(seed=3, duration_s=1.0).mixture)
+        flag = {name: flag for name, flag, *_ in _SETTINGS}[key]
+        written = []
+        for name, flags in (("base_", []), ("set_", [flag, value])):
+            dump = str(tmp_path / name)
+            assert main(["zoom", str(path), dump + "o.wav", *_RUN_FLAGS[run], *flags, "--dump", dump]) == 0
+            written.append(Path(dump + ("sweep.csv" if key == "gjbf_sweep" else "o.wav")).read_bytes())
+        capsys.readouterr()
+        assert written[0] != written[1]
 
     @pytest.mark.parametrize("line", ["gjbf_length=0", "gjbf_block=0", "gjbf_mu=5", "bt_h=-1"])
     def test_out_of_range_config_value_is_data_error(self, tmp_path, capsys, wav, line):
@@ -900,25 +928,16 @@ class TestCliSettings:
         write_wav(huge, stereo, sample_format="float64")
         return huge
 
-    @pytest.mark.parametrize("command", ["zoom", "sweep"])
-    def test_gjbf_divergence_is_data_error(self, tmp_path, capsys, command):
-        huge = self._huge_gjbf_wav(tmp_path)
-        tail = {
-            "zoom": [str(tmp_path / "o.wav"), "--beamformer", "gjbf"],
-            "sweep": ["--gjbf-sweep", "32,64", "--out", str(tmp_path / "c.csv")],
-        }
-        assert main([command, str(huge), *tail[command]]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("audiozoom: ") and "input level overflows" in err
-
-    def test_failed_length_sweep_in_zoom_is_data_error(self, tmp_path, capsys):
-        # Every candidate fails, so run_zoom raises RuntimeError, not ValueError.
+    @pytest.mark.parametrize("run", ["zoom", "sweep"])
+    def test_gjbf_divergence_is_data_error(self, tmp_path, capsys, run):
+        # In the sweep every candidate fails, so run_zoom raises RuntimeError, not ValueError.
         huge = self._huge_gjbf_wav(tmp_path)
         out = tmp_path / "o.wav"
-        argv = ["zoom", str(huge), str(out), "--beamformer", "gjbf", "--gjbf-length", "auto"]
-        assert main(argv) == 2
+        flags = _SWEEP if run == "sweep" else ["--beamformer", "gjbf"]
+        assert main(["zoom", str(huge), str(out), *flags]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("audiozoom: all candidate lengths failed: input level overflows")
+        lead = "audiozoom: all candidate lengths failed: " if run == "sweep" else "audiozoom: "
+        assert err.startswith(lead + "input level overflows")
         assert not out.exists()
 
     def test_length_sweep_overflow_is_data_error_without_warnings(self, tmp_path, capsys):

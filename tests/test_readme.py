@@ -4,7 +4,7 @@ import re
 import shlex
 from pathlib import Path
 
-from audiozoom.cli import main
+from audiozoom.cli import _SETTINGS, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 FENCE = re.compile(r"^```(\w*)\n(.*?)^```", re.MULTILINE | re.DOTALL)
@@ -33,12 +33,21 @@ def test_command_line_walkthrough_and_library_use(tmp_path, monkeypatch, capsys)
         for line in body.splitlines()
         if line.startswith("audiozoom ")
     ]
-    assert [argv[1] for argv in commands] == ["simulate", "zoom", "zoom", "eval", "sweep"]
+    assert [argv[1] for argv in commands] == ["simulate", "zoom", "zoom", "eval"]
     for argv in commands:
         assert main(argv[1:]) == 0, argv
-    assert Path("out/run_mixture.wav").exists() and Path("curve.csv").exists()
+    assert Path("out/run_mixture.wav").exists() and Path("out/auto_sweep.csv").exists()
     capsys.readouterr()
 
     (library,) = [body for lang, body in _section("Library use") if lang == "python"]
     exec(library, {})
     assert "sinr_gain_db = " in capsys.readouterr().out
+
+
+def test_flag_table_names_every_pipeline_flag():
+    text = README.read_text(encoding="utf-8")
+    start = text.index("Pipeline flags, shared by `zoom`")
+    table = text[start : text.index("\n\n", text.index("\n|", start))]
+    rows = [line.split("|")[1] for line in table.splitlines() if line.startswith("| `")]
+    named = [flag for row in rows for flag in re.findall(r"--[\w-]+", row)]
+    assert sorted(named) == sorted(flag for _, flag, _, _ in _SETTINGS)
