@@ -16,7 +16,7 @@ from operator import attrgetter
 import numpy as np
 
 from .dsp import WINDOW_KINDS, AudioBuffer
-from .metrics import MAX_SHIFT, EvalReport, mse_db, osinr_db, project_onto_reference
+from .metrics import MAX_SHIFT, EvalReport, osinr_db, project_onto_reference, stage_scores
 from .pipeline import BEAMFORMERS, DEFAULT_SWEEP_LENGTHS, PipelineConfig, normalize_peak, run_zoom
 from .simulate import key_value_lines, parse_scenario, synthesize_mixture
 from .wav import read_wav, write_wav
@@ -87,6 +87,7 @@ def _or_keyword(parse, keyword: str, value):
 # One row per pipeline setting: config-file key, flag, parser, and the
 # PipelineConfig field it sets ("section.field" inside a nested dataclass;
 # bt_macro sets two). Defaults are read from PipelineConfig(), not written here.
+# A key's prefix names the stage that reads it (_needs).
 _SETTINGS = (
     ("beamformer", "--beamformer", _one_of(BEAMFORMERS), "beamformer"),
     ("stft_frame", "--stft-frame", int, "stft.frame_length"),
@@ -138,7 +139,7 @@ def _effective_config(args) -> tuple:
     """(settings, config) from the defaults, then the --config file, then the flags given.
 
     A value that PipelineConfig rejects is a data error when the file gives
-    it and a usage error when a flag does.
+    it and a usage error when a flag does, as is a flag the run does not read.
     """
     settings = _default_settings()
     if args.config:
@@ -148,10 +149,27 @@ def _effective_config(args) -> tuple:
         except ValueError as exc:
             raise DataError(f"{args.config}: {exc}") from exc
     settings.update((key, getattr(args, key)) for key in _PARSERS if hasattr(args, key))
+    for key, flag, _, _ in _SETTINGS:
+        if hasattr(args, key) and _needs(key, settings):
+            args.usage_error(f"argument {flag}: read only with {_needs(key, settings)}")
     try:
         return settings, _settings_to_config(settings)
     except ValueError as exc:
         args.usage_error(str(exc))
+
+
+def _needs(key: str, settings: dict) -> str | None:
+    """The flag a run needs to read setting key, or None when it reads it: a
+    gjbf_ or mpdr_ setting needs its beamformer, gjbf_sweep the length sweep,
+    and a bt_ setting other than bt_enabled the post-filter."""
+    prefix = key.split("_")[0]
+    if prefix in BEAMFORMERS and settings["beamformer"] != prefix:
+        return f"--beamformer {prefix}"
+    if key == "gjbf_sweep" and settings["gjbf_length"] != "auto":
+        return "--gjbf-length auto"
+    if prefix == "bt" and key != "bt_enabled" and not settings["bt_enabled"]:
+        return "--bt-enabled true"
+    return None
 
 
 def _settings_to_config(settings: dict) -> PipelineConfig:
@@ -178,11 +196,6 @@ def _show(key: str, value) -> str:
     if isinstance(value, tuple):
         return ("x" if key == "bt_macro" else ",").join(str(v) for v in value)
     return str(value)
-
-
-def _echo_settings(settings: dict) -> None:
-    for key in sorted(settings):
-        print(f"config {key}={_show(key, settings[key])}")
 
 
 def _write_matrix_csv(path, matrix: np.ndarray) -> None:
@@ -228,7 +241,8 @@ def cmd_simulate(args) -> int:
 def cmd_zoom(args) -> int:
     settings, config = _effective_config(args)
     mixture = _load_stereo(args.input)
-    _echo_settings(settings)
+    for key in sorted(key for key in settings if not _needs(key, settings)):  # what the run reads
+        print(f"config {key}={_show(key, settings[key])}")
 
     try:
         result = run_zoom(mixture, config)
@@ -291,11 +305,9 @@ def cmd_eval(args) -> int:
     est = AudioBuffer(estimate.samples[:, :n], estimate.sample_rate)
     reference = AudioBuffer(target_image.samples[:, :n].mean(axis=0), target_image.sample_rate)
 
-    input_sinr = osinr_db(target_image, interference_image)
-    fitted, residual = project_onto_reference(est, reference, args.max_shift)
-    final_osinr = osinr_db(fitted, residual)
-    final_mse = mse_db(est, reference, args.max_shift)
-    report = EvalReport(input_sinr_db=input_sinr, osinr_db=final_osinr, mse_db=final_mse)
+    fitted, _ = project_onto_reference(est, reference, args.max_shift)
+    final = stage_scores(est, fitted, reference, args.max_shift)
+    report = EvalReport(osinr_db(target_image, interference_image), *final)
 
     print(report.format_text())
     if args.report:

@@ -163,10 +163,6 @@ class AudioBuffer:
     def length(self) -> int:
         return self.samples.shape[1]
 
-    @property
-    def duration(self) -> float:
-        return self.samples.shape[1] / self.sample_rate
-
     def channel(self, index: int) -> "AudioBuffer":
         """Single channel as a mono buffer that shares this buffer's samples.
 

@@ -103,6 +103,13 @@ def mse_db(estimate: AudioBuffer, reference: AudioBuffer, max_shift: int = MAX_S
     return float(np.clip(10.0 * np.log10(err / seg_power), -DB_CAP, DB_CAP))
 
 
+def stage_scores(output, target, reference, max_shift: int = MAX_SHIFT) -> tuple:
+    """(OSINR, MSE) of a stage's output in dB: target is the target's share of
+    output, the residual is output minus that share, and the MSE is mse_db's."""
+    residual = _values(output).ravel() - _values(target).ravel()
+    return osinr_db(target, residual), mse_db(output, reference, max_shift)
+
+
 def decompose_linear(stage, target_image, residual_image, mixture_output=None, rtol: float = 1e-6):
     """Run a frozen linear stage on each ground-truth image.
 

@@ -1,7 +1,7 @@
 """End-to-end composition: beamform the two channels, then block-threshold.
 
-Also splits a run into its target and residual shares, by running its
-frozen stages on ground-truth images, to score it.
+Also scores a run, by running its frozen stages on ground-truth images to
+find the target's share of each stage's output.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import numpy as np
 from .blockthresh import BlockGrid, BlockThresholdParams, block_threshold_gains, residual_variance
 from .dsp import AudioBuffer, Spectrogram, StftParams, istft, stft
 from .gjbf import AdaptiveFilterState, GjbfConfig, apply_gjbf, fdaf_gjbf, select_filter_length
-from .metrics import EvalReport, decompose_linear, mse_db, osinr_db
+from .metrics import EvalReport, decompose_linear, osinr_db, stage_scores
 from .mpdr import MpdrWeights, apply_mpdr, design_mpdr
 
 BEAMFORMERS = ("mpdr", "gjbf")
@@ -166,52 +166,36 @@ def evaluate_scene(
 ) -> tuple:
     """Score the pipeline on a simulated scene with known images.
 
-    Returns (EvalReport, ZoomResult). The beamformer is decomposed by running
-    its frozen stage on each image; the two shares must sum to what the run
-    itself beamformed. The post-filter's target is the inverse of its gains
-    times the target's share of the spectrogram they multiplied, and its
-    residual is the run's output minus that target, so the two sum to
-    result.output.
+    Returns (EvalReport, ZoomResult). Each stage is scored by
+    metrics.stage_scores: its target share against its output minus that
+    share. The beamformer's target share comes from running its frozen stage
+    on each image; the two shares must sum to what the run itself
+    beamformed. The post-filter's target share is the inverse of its gains
+    times the target's share of the spectrogram they multiplied.
     """
     result = run_zoom(mixture, config)
     length = mixture.length
     if config.beamformer == "mpdr":
-        # MPDR beamforms spectrograms: split the one the post-filter multiplied, then invert each share.
-        target_spec, residual_spec = decompose_linear(
+        # MPDR beamforms spectrograms: split the one the post-filter multiplied, then invert the target's share.
+        target_spec, _ = decompose_linear(
             _mpdr_stage(result), target_image, residual_image, mixture_output=result.beamformed_spec
         )
         target_out = istft(target_spec, length=length)
-        residual_out = istft(residual_spec, length=length)
     else:
-        target_out, residual_out = decompose_linear(
+        target_out, _ = decompose_linear(
             frozen_stage(result), target_image, residual_image, mixture_output=result.beamformed
         )
         # GJBF's post-filter multiplied the spectrogram of its waveform.
         target_spec = stft(target_out, config.stft) if config.bt_enabled else None
 
     reference = AudioBuffer(target_image.samples.mean(axis=0), target_image.sample_rate)
-    input_sinr = osinr_db(target_image, residual_image)
-    osinr_beamformer = osinr_db(target_out, residual_out)
-    mse_beamformer = mse_db(result.beamformed, reference)
-
+    beamformer = final = stage_scores(result.beamformed, target_out, reference)
     if config.bt_enabled:
         gained = target_spec.coefficients * result.block_grid.gains
         target_final = istft(target_spec.with_coefficients(gained), length=length)
-        residual_final = AudioBuffer(result.output.samples - target_final.samples, mixture.sample_rate)
-        final_osinr = osinr_db(target_final, residual_final)
-        final_mse = mse_db(result.output, reference)
-    else:
-        final_osinr = osinr_beamformer
-        final_mse = mse_beamformer
-
-    report = EvalReport(
-        input_sinr_db=input_sinr,
-        osinr_db=final_osinr,
-        mse_db=final_mse,
-        osinr_beamformer_db=osinr_beamformer,
-        mse_beamformer_db=mse_beamformer,
-    )
-    return report, result
+        final = stage_scores(result.output, target_final, reference)
+    # Each (OSINR, MSE) pair fills the report's two fields for its stage.
+    return EvalReport(osinr_db(target_image, residual_image), *final, *beamformer), result
 
 
 def normalize_peak(buffer: AudioBuffer) -> tuple:

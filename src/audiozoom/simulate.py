@@ -72,6 +72,27 @@ def _add_shifted(out: np.ndarray, x: np.ndarray, shift: int) -> None:
         out[..., lo:hi] += x[..., lo - shift : hi - shift]
 
 
+def _add_delayed(out: np.ndarray, x: np.ndarray, paths) -> None:
+    # out += gain * x delayed by delay samples, summed over the (delay, gain)
+    # paths. Whole-sample paths are exact shift-adds in path order; all
+    # fractional paths share one FIR and one convolution.
+    fractional = []
+    for delay, gain in paths:
+        if abs(delay) >= out.size:
+            raise ValueError("delay exceeds signal length")
+        first, kernel = _delay_kernel(delay)
+        if kernel.size == 1:
+            _add_shifted(out, gain * x, first)
+        else:
+            fractional.append((first, gain * kernel))
+    if fractional:
+        lead = min(first for first, _ in fractional)
+        fir = np.zeros(max(first + k.size for first, k in fractional) - lead)
+        for first, k in fractional:
+            _add_shifted(fir, k, first - lead)
+        _add_shifted(out, fft_convolve(x, fir), lead)
+
+
 def fractional_delay(signal: AudioBuffer, delay_s: float) -> AudioBuffer:
     """Delay a buffer by a possibly non-integer number of samples.
 
@@ -79,16 +100,9 @@ def fractional_delay(signal: AudioBuffer, delay_s: float) -> AudioBuffer:
     its passband); integer delays reduce to an exact shift. Samples shifted
     in from outside the buffer are zero.
     """
-    total = delay_s * signal.sample_rate
-    if abs(total) >= signal.length:
-        raise ValueError("delay exceeds signal length")
-    first, kernel = _delay_kernel(total)
     out = np.zeros_like(signal.samples)
-    if kernel.size == 1:
-        _add_shifted(out, signal.samples, first)
-    else:
-        for ch in range(signal.channel_count):
-            _add_shifted(out[ch], fft_convolve(signal.samples[ch], kernel), first)
+    for row, x in zip(out, signal.samples):
+        _add_delayed(row, x, [(delay_s * signal.sample_rate, 1.0)])
     return AudioBuffer(out, signal.sample_rate)
 
 
@@ -173,29 +187,13 @@ def _mean_power(samples: np.ndarray) -> float:
 
 
 def _source_image(source: SourceSpec, geometry: ArrayGeometry, echo_taps, length: int) -> np.ndarray:
-    # Per mic: whole-sample paths are exact shift-adds in path order (direct
-    # path first); all fractional paths share one FIR and one convolution.
+    # Per mic: the direct path first, then the echoes, each at the mic's delay.
     mono = source.signal.samples[0, :length]
     rate = source.signal.sample_rate
     paths = ((0.0, 1.0),) + tuple(echo_taps)
     image = np.zeros((2, length))
     for img, tau in zip(image, geometry.delays(source.azimuth_deg)):
-        fractional = []
-        for delay, gain in paths:
-            total = (float(tau) + delay) * rate
-            if abs(total) >= length:
-                raise ValueError("delay exceeds signal length")
-            first, kernel = _delay_kernel(total)
-            if kernel.size == 1:
-                _add_shifted(img, gain * mono, first)
-            else:
-                fractional.append((first, gain * kernel))
-        if fractional:
-            lead = min(first for first, _ in fractional)
-            fir = np.zeros(max(first + k.size for first, k in fractional) - lead)
-            for first, k in fractional:
-                _add_shifted(fir, k, first - lead)
-            _add_shifted(img, fft_convolve(mono, fir), lead)
+        _add_delayed(img, mono, [((float(tau) + delay) * rate, gain) for delay, gain in paths])
     return image
 
 

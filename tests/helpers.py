@@ -7,7 +7,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.io import wavfile
 
-from audiozoom import dsp, gjbf
+from audiozoom import dsp, gjbf, pipeline
 from audiozoom.blockthresh import (
     CHOICE_DTYPE,
     SNR_CAP,
@@ -21,6 +21,7 @@ from audiozoom.blockthresh import (
 )
 from audiozoom.dsp import AudioBuffer, check_cola, istft, make_window, stft
 from audiozoom.gjbf import DIVERGENCE_LIMIT, POWER_SMOOTHING, fdaf_gjbf
+from audiozoom.metrics import EvalReport, decompose_linear, mse_db, osinr_db
 from audiozoom.mpdr import apply_mpdr, design_mpdr
 from audiozoom.simulate import (
     HARMONICS,
@@ -360,6 +361,56 @@ def run_zoom_reference(mixture, config):
         output = istft(z_spec.with_coefficients(z * grid.gains), length=mixture.length)
         arrays.update(output=output.samples, gains=grid.gains, choices=grid.choices)
     return arrays
+
+
+def evaluate_scene_reference(mixture, target_image, residual_image, config):
+    """pipeline.evaluate_scene as it was before metrics.stage_scores.
+
+    Each stage's residual is its own waveform: MPDR inverts the residual
+    image's share of the beamformed spectrogram, GJBF replays the run on the
+    residual image, and only the post-filter's residual is its output minus
+    its target. Returns (EvalReport, ZoomResult); serves as the oracle for
+    the one scoring rule.
+    """
+    result = pipeline.run_zoom(mixture, config)
+    length = mixture.length
+    if config.beamformer == "mpdr":
+        target_spec, residual_spec = decompose_linear(
+            pipeline._mpdr_stage(result), target_image, residual_image,
+            mixture_output=result.beamformed_spec,
+        )
+        target_out = istft(target_spec, length=length)
+        residual_out = istft(residual_spec, length=length)
+    else:
+        target_out, residual_out = decompose_linear(
+            pipeline.frozen_stage(result), target_image, residual_image,
+            mixture_output=result.beamformed,
+        )
+        target_spec = stft(target_out, config.stft) if config.bt_enabled else None
+
+    reference = AudioBuffer(target_image.samples.mean(axis=0), target_image.sample_rate)
+    input_sinr = osinr_db(target_image, residual_image)
+    osinr_beamformer = osinr_db(target_out, residual_out)
+    mse_beamformer = mse_db(result.beamformed, reference)
+
+    if config.bt_enabled:
+        gained = target_spec.coefficients * result.block_grid.gains
+        target_final = istft(target_spec.with_coefficients(gained), length=length)
+        residual_final = AudioBuffer(result.output.samples - target_final.samples, mixture.sample_rate)
+        final_osinr = osinr_db(target_final, residual_final)
+        final_mse = mse_db(result.output, reference)
+    else:
+        final_osinr = osinr_beamformer
+        final_mse = mse_beamformer
+
+    report = EvalReport(
+        input_sinr_db=input_sinr,
+        osinr_db=final_osinr,
+        mse_db=final_mse,
+        osinr_beamformer_db=osinr_beamformer,
+        mse_beamformer_db=mse_beamformer,
+    )
+    return report, result
 
 
 def istft_reference(spec, length=None):

@@ -140,8 +140,14 @@ def test_traced_split_mpdr_zoom_keeps_its_spans_on_the_op_thread():
 def test_workload_sets_up_and_runs_one_op(tmp_path, name):
     # At a tenth of the benchmark's scene length: 0.2 s scenes for
     # short_scored, 1 s for gjbf_auto (long enough for every sweep length).
+    # short_scored alternates its beamformers, so its check, which wants the
+    # report's mse_db bit-equal to the output's, runs on one op of each.
     workloads = _load_perfbench("workloads")
     workload = workloads.WORKLOADS[name](seed=1, workdir=str(tmp_path), scale=0.1)
     workload.setup()
     out = workload.op(0)
     assert workload.check(out) is None
+    if name == "short_scored":
+        gjbf = workload.op(1)
+        assert (out.config.beamformer, gjbf.config.beamformer) == ("mpdr", "gjbf")
+        assert workload.check(gjbf) is None

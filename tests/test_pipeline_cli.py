@@ -8,7 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import FS, block_threshold_reference, default_scene, run_zoom_reference, usable_cpus
+from helpers import (
+    FS,
+    block_threshold_reference,
+    default_scene,
+    evaluate_scene_reference,
+    run_zoom_reference,
+    usable_cpus,
+)
 from scipy.io import wavfile
 
 from audiozoom import gjbf, pipeline
@@ -190,8 +197,10 @@ class TestPostFilterScore:
 
     # No more transforms than the scorer that gained both parts' spectrograms
     # made (MPDR 8 stft + 4 istft, GJBF 5 + 1): inverting the gained target
-    # share costs one istft, and the residual's stft is no longer made.
-    @pytest.mark.parametrize("beamformer, budget", [("mpdr", (6, 5)), ("gjbf", (4, 2))])
+    # share costs one istft, and the residual's stft is no longer made. Each
+    # stage's residual is its output minus its target share, so MPDR inverts
+    # only the target's share of the beamformed spectrogram.
+    @pytest.mark.parametrize("beamformer, budget", [("mpdr", (6, 4)), ("gjbf", (4, 2))])
     def test_transform_budget(self, monkeypatch, beamformer, budget):
         scene = self._scene(3)
         calls = {"stft": 0, "istft": 0}
@@ -209,6 +218,24 @@ class TestPostFilterScore:
             PipelineConfig(beamformer=beamformer),
         )
         assert (calls["stft"], calls["istft"]) == budget
+
+
+    # The scorer that built each beamformer residual from the residual image
+    # is the oracle: the OSINR fields move by rounding only, and the fields
+    # that never read a residual stay equal.
+    @pytest.mark.parametrize("bt_enabled", [True, False])
+    @pytest.mark.parametrize("beamformer", ["mpdr", "gjbf"])
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_report_matches_the_reference_scorer(self, seed, beamformer, bt_enabled):
+        scene = self._scene(seed)
+        config = PipelineConfig(beamformer=beamformer, bt_enabled=bt_enabled)
+        args = (scene.mixture, scene.target_image, scene.interference_plus_noise, config)
+        got, _ = evaluate_scene(*args)
+        want, _ = evaluate_scene_reference(*args)
+        for name in ("input_sinr_db", "mse_db", "mse_beamformer_db"):
+            assert getattr(got, name) == getattr(want, name), name
+        for name in ("osinr_db", "sinr_gain_db", "osinr_beamformer_db"):
+            assert abs(getattr(got, name) - getattr(want, name)) <= 1e-12, name
 
 
 def _counting_istft(monkeypatch) -> list:
@@ -583,6 +610,28 @@ class TestCliEval:
         )
         assert len(lines[1].split(",")) == 6
 
+    @pytest.mark.parametrize(
+        "beamformer, row",
+        [
+            ("mpdr", "0.000000,9.333306,9.333306,-9.812252,nan,nan"),
+            ("gjbf", "0.000000,5.961916,5.961916,-6.942817,nan,nan"),
+        ],
+        ids=["mpdr", "gjbf"],
+    )
+    def test_report_row_is_pinned(self, tmp_path, capsys, beamformer, row):
+        # eval scores the projection's fitted part by the one stage rule; the
+        # row is the one the scorer wrote before metrics.stage_scores.
+        prefix = self._scene_files(tmp_path, capsys, seed=40, duration=1.0)
+        out = tmp_path / "z.wav"
+        assert main(["zoom", prefix + "mixture.wav", str(out), "--beamformer", beamformer]) == 0
+        report = tmp_path / "report.csv"
+        assert main(
+            ["eval", str(out), prefix + "target_img.wav", prefix + "interf_img.wav",
+             "--report", str(report)]
+        ) == 0
+        capsys.readouterr()
+        assert report.read_text().splitlines()[1] == row
+
     def _eval_report(self, tmp_path, capsys, report):
         prefix = self._scene_files(tmp_path, capsys, seed=44, duration=0.5)
         mix = read_wav(prefix + "mixture.wav")
@@ -772,6 +821,22 @@ _CHANGED_SETTINGS = [
 _RUN_FLAGS = {"mpdr": ["--beamformer", "mpdr"], "gjbf": ["--beamformer", "gjbf"], "auto": _SWEEP}
 
 
+# One setting per row with a run that does not read it: the GJBF settings
+# under MPDR, the sweep's candidates at a fixed length, MPDR's loading under
+# GJBF, and the post-filter's settings with the post-filter off.
+_UNREAD_SETTINGS = [
+    ([], "--gjbf-length", "100"),
+    ([], "--gjbf-mu", "0.1"),
+    ([], "--gjbf-block", "64"),
+    ([], "--gjbf-leak", "0.01"),
+    (["--beamformer", "gjbf"], "--gjbf-sweep", "32,64"),
+    (["--beamformer", "gjbf"], "--mpdr-alpha", "0.5"),
+    (["--bt-enabled", "false"], "--bt-macro", "4x8"),
+    (["--bt-enabled", "false"], "--bt-H", "2"),
+    (["--bt-enabled", "false"], "--bt-threshold", "2.0"),
+]
+
+
 class TestCliSettings:
     @pytest.fixture
     def wav(self, tmp_path):
@@ -866,14 +931,15 @@ class TestCliSettings:
     @pytest.mark.parametrize(
         "flags",
         [[], ["--beamformer", "gjbf", "--gjbf-length", "auto", "--gjbf-sweep", "32,64",
-              "--gjbf-block", "16", "--mpdr-alpha", "0.5", "--bt-macro", "4x8", "--bt-H", "3"]],
+              "--gjbf-block", "16", "--bt-macro", "4x8", "--bt-H", "3"]],
     )
     def test_echoed_config_reads_back(self, tmp_path, capsys, wav, flags):
         first = tmp_path / "first.wav"
         assert main(["zoom", wav, str(first), *flags]) == 0
         echo = [l for l in capsys.readouterr().out.splitlines() if l.startswith("config ")]
         if not flags:
-            assert "config mpdr_alpha=None" in echo and "config gjbf_block=None" in echo
+            assert "config mpdr_alpha=None" in echo
+            assert not [l for l in echo if l.startswith("config gjbf_")]
         cfg = tmp_path / "echo.cfg"
         cfg.write_text("".join(l[len("config "):] + "\n" for l in echo))
         second = tmp_path / "second.wav"
@@ -881,6 +947,28 @@ class TestCliSettings:
         again = [l for l in capsys.readouterr().out.splitlines() if l.startswith("config ")]
         assert again == echo
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("run, flag, value", _UNREAD_SETTINGS)
+    def test_unread_flag_is_usage_error(self, tmp_path, capsys, wav, run, flag, value):
+        argv = ["zoom", wav, str(tmp_path / "o.wav"), *run, flag, value, "--dump", str(tmp_path / "d_")]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 1
+        assert f"error: argument {flag}: read only with " in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.wav"]
+
+    @pytest.mark.parametrize("run, flag, value", _UNREAD_SETTINGS)
+    def test_unread_config_line_is_accepted_and_not_echoed(self, tmp_path, capsys, wav, run, flag, value):
+        key = {f: name for name, f, *_ in _SETTINGS}[flag]
+        cfg = tmp_path / "unread.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        outputs = []
+        for name, extra in (("base.wav", []), ("cfg.wav", ["--config", str(cfg)])):
+            assert main(["zoom", wav, str(tmp_path / name), *run, *extra]) == 0
+            outputs.append((tmp_path / name).read_bytes())
+            echo = [l for l in capsys.readouterr().out.splitlines() if l.startswith("config ")]
+            assert not [l for l in echo if l.startswith(f"config {key}=")]
+        assert outputs[0] == outputs[1]
 
     def test_every_setting_has_a_changed_value(self):
         assert sorted(key for key, _, _ in _CHANGED_SETTINGS) == sorted(key for key, *_ in _SETTINGS)
