@@ -16,7 +16,7 @@ from operator import attrgetter
 import numpy as np
 
 from .dsp import WINDOW_KINDS, AudioBuffer
-from .metrics import MAX_SHIFT, EvalReport, osinr_db, project_onto_reference, stage_scores
+from .metrics import MAX_SHIFT, EvalReport, align_delay_and_scale, osinr_db, stage_scores
 from .pipeline import BEAMFORMERS, DEFAULT_SWEEP_LENGTHS, PipelineConfig, normalize_peak, run_zoom
 from .simulate import key_value_lines, parse_scenario, synthesize_mixture
 from .wav import read_wav, write_wav
@@ -293,6 +293,10 @@ def cmd_eval(args) -> int:
     estimate = _load_mono(args.estimate)
     target_image = _load_stereo(args.target_image)
     interference_image = _load_stereo(args.interference_image)
+    rates = (estimate.sample_rate, target_image.sample_rate, interference_image.sample_rate)
+    if len(set(rates)) != 1:
+        raise DataError("sample rates must match: estimate {} Hz, target image {} Hz, "
+                        "interference image {} Hz".format(*rates))
     lengths = {target_image.length, interference_image.length}
     if len(lengths) != 1:
         raise DataError("image lengths must match")
@@ -302,10 +306,10 @@ def cmd_eval(args) -> int:
             f"images {target_image.length}"
         )
     n = min(estimate.length, target_image.length)
-    est = AudioBuffer(estimate.samples[:, :n], estimate.sample_rate)
-    reference = AudioBuffer(target_image.samples[:, :n].mean(axis=0), target_image.sample_rate)
+    est = estimate.samples[0, :n]
+    reference = target_image.samples[:, :n].mean(axis=0)
 
-    fitted, _ = project_onto_reference(est, reference, args.max_shift)
+    fitted = align_delay_and_scale(reference, est, args.max_shift)[0]  # the target's share
     final = stage_scores(est, fitted, reference, args.max_shift)
     report = EvalReport(osinr_db(target_image, interference_image), *final)
 

@@ -110,24 +110,23 @@ def stage_scores(output, target, reference, max_shift: int = MAX_SHIFT) -> tuple
     return osinr_db(target, residual), mse_db(output, reference, max_shift)
 
 
-def decompose_linear(stage, target_image, residual_image, mixture_output=None, rtol: float = 1e-6):
+def decompose_linear(stage, target_image, residual_image, mixture_output, rtol: float = 1e-6):
     """Run a frozen linear stage on each ground-truth image.
 
-    When the stage's mixture output is supplied, superposition is verified:
-    stage(target) + stage(residual) must match it within rtol (relative),
-    otherwise the stage is not the frozen linear map it claims to be.
+    Superposition is verified: stage(target) + stage(residual) must match
+    the stage's mixture output within rtol (relative), otherwise the stage
+    is not the frozen linear map it claims to be.
     """
     target_out = stage(target_image)
     residual_out = stage(residual_image)
-    if mixture_output is not None:
-        total = _values(target_out) + _values(residual_out)
-        mix = _values(mixture_output)
-        scale = float(np.linalg.norm(mix))
-        gap = float(np.linalg.norm(total - mix))
-        if gap > rtol * scale:
-            raise RuntimeError(
-                f"stage is not frozen/linear: superposition residual {gap:.3e} vs norm {scale:.3e}"
-            )
+    total = _values(target_out) + _values(residual_out)
+    mix = _values(mixture_output)
+    scale = float(np.linalg.norm(mix))
+    gap = float(np.linalg.norm(total - mix))
+    if gap > rtol * scale:
+        raise RuntimeError(
+            f"stage is not frozen/linear: superposition residual {gap:.3e} vs norm {scale:.3e}"
+        )
     return target_out, residual_out
 
 
@@ -169,17 +168,3 @@ class EvalReport:
         lines = [f"{f.name} = {getattr(self, f.name):.3f} dB" for f in fields(EvalReport)]
         return "\n".join(lines)
 
-
-def project_onto_reference(estimate: AudioBuffer, reference: AudioBuffer, max_shift: int = MAX_SHIFT):
-    """Split an estimate into a reference-shaped component and the remainder.
-
-    The reference is delay-and-scale fitted to the estimate; the fitted part
-    counts as target, the leftover as residual. This is the decomposition
-    used when only the final waveform is available.
-    """
-    est = _values(estimate).ravel()
-    ref = _values(reference).ravel()
-    n = min(est.size, ref.size)
-    est, ref = est[:n], ref[:n]
-    fitted, _, _ = align_delay_and_scale(ref, est, max_shift)
-    return fitted, est - fitted

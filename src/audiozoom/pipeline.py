@@ -127,35 +127,31 @@ def run_zoom(mixture: AudioBuffer, config: PipelineConfig = PipelineConfig()) ->
     )
 
 
-def _mpdr_stage(result: ZoomResult):
-    """The run's MPDR weights as a fixed linear map from a 2-channel
-    AudioBuffer to its share of the spectrogram the post-filter multiplies."""
+def frozen_stage(result: ZoomResult):
+    """The run's beamformer as a fixed linear map from a 2-channel AudioBuffer
+    of the mixture's length, for scoring images, in the domain it beamforms in:
+    MPDR gives the Spectrogram under the run's weights, GJBF the waveform of a
+    replay with the taps each block ran with (apply_gjbf). On the mixture it
+    reproduces result.beamformed_spec (MPDR) or result.beamformed (GJBF)."""
     params = result.config.stft
 
-    def stage(buffer: AudioBuffer) -> Spectrogram:
+    def stage(buffer: AudioBuffer):
         a, b = _split_channels(buffer)
-        return apply_mpdr(stft(a, params), stft(b, params), result.mpdr_weights)
-
-    return stage
-
-
-def frozen_stage(result: ZoomResult):
-    """The run's beamformer as a fixed linear map, for scoring images.
-
-    Maps a 2-channel AudioBuffer of the mixture's length to the mono
-    beamformed AudioBuffer: MPDR with the run's weights, GJBF replaying the
-    taps each block ran with (apply_gjbf). On the mixture it reproduces
-    result.beamformed.
-    """
-    if result.config.beamformer == "mpdr":
-        spectrum = _mpdr_stage(result)
-        return lambda buffer: istft(spectrum(buffer), length=buffer.length)
-
-    def stage(buffer: AudioBuffer) -> AudioBuffer:
-        a, b = _split_channels(buffer)
+        if result.gjbf_state is None:
+            return apply_mpdr(stft(a, params), stft(b, params), result.mpdr_weights)
         return apply_gjbf(a, b, result.gjbf_state)
 
     return stage
+
+
+def _check_image(name: str, image: AudioBuffer, mixture: AudioBuffer) -> None:
+    for unit, got, want in (
+        ("channels", image.channel_count, 2),
+        ("samples", image.length, mixture.length),
+        ("Hz", image.sample_rate, mixture.sample_rate),
+    ):
+        if got != want:
+            raise ValueError(f"{name} does not fit the mixture: {got} {unit}, expected {want}")
 
 
 def evaluate_scene(
@@ -166,31 +162,29 @@ def evaluate_scene(
 ) -> tuple:
     """Score the pipeline on a simulated scene with known images.
 
-    Returns (EvalReport, ZoomResult). Each stage is scored by
-    metrics.stage_scores: its target share against its output minus that
-    share. The beamformer's target share comes from running its frozen stage
-    on each image; the two shares must sum to what the run itself
-    beamformed. The post-filter's target share is the inverse of its gains
-    times the target's share of the spectrogram they multiplied.
+    Returns (EvalReport, ZoomResult). Each image must have two channels and
+    the mixture's length and sample rate (ValueError otherwise). Each stage
+    is scored by metrics.stage_scores: its target share against its output
+    minus that share. The beamformer's target share comes from running its
+    frozen stage on each image; the two shares must sum to what the run
+    itself beamformed. The post-filter's target share is the inverse of its
+    gains times the target's share of the spectrogram they multiplied.
     """
+    _check_image("target_image", target_image, mixture)
+    _check_image("residual_image", residual_image, mixture)
     result = run_zoom(mixture, config)
     length = mixture.length
-    if config.beamformer == "mpdr":
-        # MPDR beamforms spectrograms: split the one the post-filter multiplied, then invert the target's share.
-        target_spec, _ = decompose_linear(
-            _mpdr_stage(result), target_image, residual_image, mixture_output=result.beamformed_spec
-        )
-        target_out = istft(target_spec, length=length)
-    else:
-        target_out, _ = decompose_linear(
-            frozen_stage(result), target_image, residual_image, mixture_output=result.beamformed
-        )
-        # GJBF's post-filter multiplied the spectrogram of its waveform.
-        target_spec = stft(target_out, config.stft) if config.bt_enabled else None
-
+    mpdr = config.beamformer == "mpdr"
+    # The target's share of what the beamformer made: a spectrogram for MPDR, a waveform for GJBF.
+    share, _ = decompose_linear(
+        frozen_stage(result), target_image, residual_image,
+        result.beamformed_spec if mpdr else result.beamformed,
+    )
     reference = AudioBuffer(target_image.samples.mean(axis=0), target_image.sample_rate)
+    target_out = istft(share, length=length) if mpdr else share
     beamformer = final = stage_scores(result.beamformed, target_out, reference)
     if config.bt_enabled:
+        target_spec = share if mpdr else stft(share, config.stft)  # what the gains multiplied
         gained = target_spec.coefficients * result.block_grid.gains
         target_final = istft(target_spec.with_coefficients(gained), length=length)
         final = stage_scores(result.output, target_final, reference)

@@ -263,16 +263,31 @@ def _echo_taps(t60_ms: str) -> tuple:
     return echo_taps_for_t60(float(t60_ms) / 1000.0)
 
 
+def _checked(parse, accepts, wanted: str):
+    """parse, then reject a value that accepts(value) refuses."""
+    def parse_checked(text: str):
+        value = parse(text)
+        if not accepts(value):
+            raise ValueError(f"expected {wanted}, got {text!r}")
+        return value
+    return parse_checked
+
+
+_finite = _checked(float, np.isfinite, "a finite number")
+_nonzero = _checked(_finite, lambda v: v != 0, "a finite nonzero number")
+_positive = _checked(_finite, lambda v: v > 0, "a finite positive number")
+
 # Scenario key -> (what it sets, the field or argument it sets, parser). A key
 # left out of a scenario takes the default of the MixtureSpec or ArrayGeometry
-# field, or of synthesize_mixture's argument, that it sets.
+# field, or of synthesize_mixture's argument, that it sets. The parsers reject
+# what MixtureSpec and ArrayGeometry would, and a negative seed.
 _SCENARIO_KEYS = {
-    "sir_db": ("spec", "sir_db", float),
-    "sensor_noise_snr_db": ("spec", "sensor_noise_snr_db", float),
+    "sir_db": ("spec", "sir_db", _finite),
+    "sensor_noise_snr_db": ("spec", "sensor_noise_snr_db", _finite),
     "echo_t60_ms": ("spec", "echo_taps", _echo_taps),
-    "spacing_m": ("geometry", "spacing_m", float),
-    "sound_speed": ("geometry", "sound_speed", float),
-    "seed": ("call", "seed", int),
+    "spacing_m": ("geometry", "spacing_m", _nonzero),
+    "sound_speed": ("geometry", "sound_speed", _positive),
+    "seed": ("call", "seed", _checked(int, lambda v: v >= 0, "a nonnegative integer")),
 }
 
 

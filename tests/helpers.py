@@ -376,7 +376,7 @@ def evaluate_scene_reference(mixture, target_image, residual_image, config):
     length = mixture.length
     if config.beamformer == "mpdr":
         target_spec, residual_spec = decompose_linear(
-            pipeline._mpdr_stage(result), target_image, residual_image,
+            pipeline.frozen_stage(result), target_image, residual_image,
             mixture_output=result.beamformed_spec,
         )
         target_out = istft(target_spec, length=length)

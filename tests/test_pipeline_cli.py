@@ -126,7 +126,8 @@ FROZEN_GJBF_CONFIGS = {
 
 
 class TestFrozenStage:
-    """The scorer's stage is the beamformer that ran: on the mixture it gives result.beamformed."""
+    """The scorer's stage is the beamformer that ran: on the mixture it gives
+    result.beamformed_spec (MPDR) or result.beamformed (GJBF)."""
 
     @staticmethod
     def _mixture(seed):
@@ -137,7 +138,8 @@ class TestFrozenStage:
     def test_mpdr_reproduces_beamformed_exactly(self, seed):
         mixture = self._mixture(seed)
         result = run_zoom(mixture, PipelineConfig(beamformer="mpdr", bt_enabled=False))
-        assert np.array_equal(frozen_stage(result)(mixture).samples, result.beamformed.samples)
+        got = frozen_stage(result)(mixture).coefficients
+        assert np.array_equal(got, result.beamformed_spec.coefficients)
 
     @pytest.mark.parametrize("name", FROZEN_GJBF_CONFIGS)
     @pytest.mark.parametrize("seed", range(1, 9))
@@ -163,6 +165,21 @@ class TestFrozenStage:
         assert len(inputs) == 2
         assert inputs[0] is scene.target_image
         assert inputs[1] is residual
+
+    @pytest.mark.parametrize("kind", ["channels", "samples", "Hz"])
+    @pytest.mark.parametrize("beamformer", ["mpdr", "gjbf"])
+    def test_image_that_does_not_fit_the_mixture_is_value_error(self, beamformer, kind):
+        scene = default_scene(seed=25, duration_s=0.5)
+        image, residual = scene.target_image, scene.interference_plus_noise
+        misfit = {
+            "channels": AudioBuffer(image.samples[0], FS),
+            "samples": AudioBuffer(image.samples[:, :-300], FS),
+            "Hz": AudioBuffer(image.samples, FS // 2),
+        }[kind]
+        config = PipelineConfig(beamformer=beamformer)
+        for name, images in (("target_image", (misfit, residual)), ("residual_image", (image, misfit))):
+            with pytest.raises(ValueError, match=f"^{name} does not fit the mixture: .* {kind}, expected "):
+                evaluate_scene(scene.mixture, *images, config)
 
 
 class TestPostFilterScore:
@@ -401,14 +418,22 @@ class TestCliSimulate:
             ("sensor_noise_snr_db=nan", "sensor_noise_snr_db"),
             ("sensor_noise_snr_db=-inf", "sensor_noise_snr_db"),
             ("sensor_noise_snr_db=inf", "sensor_noise_snr_db"),
+            ("sir_db=inf", "sir_db"),
+            ("spacing_m=inf", "spacing_m"),
+            ("spacing_m=0", "spacing_m"),
+            ("sound_speed=-3", "sound_speed"),
+            ("seed=-1", "seed"),
+            ("sensor_noise_snr_db=30\nseed=-1", "seed"),
         ],
     )
     def test_non_finite_scenario_value_exit_code(self, tmp_path, capsys, line, key):
+        # A value rejected while parsing names its file, line and key.
         scenario = _write_scene_inputs(tmp_path, duration=0.25)
         scenario.write_text(scenario.read_text() + line + "\n")
+        lineno = len(scenario.read_text().splitlines())
         prefix = str(tmp_path / "x_")
         assert main(["simulate", str(scenario), prefix]) == 2
-        assert key in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"audiozoom: {scenario}:{lineno}: {key}: ")
         assert not os.path.exists(prefix + "mixture.wav")
 
 
@@ -683,6 +708,21 @@ class TestCliEval:
             ["eval", str(est_path), prefix + "target_img.wav", prefix + "interf_img.wav"]
         ) == 2
 
+
+    @pytest.mark.parametrize("position", [0, 1, 2], ids=["estimate", "target_image", "interference_image"])
+    def test_sample_rate_mismatch_is_data_error(self, tmp_path, capsys, position):
+        # One WAV labelled 8 kHz, the others 16 kHz; the estimate is the perfect one.
+        prefix = self._scene_files(tmp_path, capsys, seed=45, duration=0.5)
+        paths = [tmp_path / "est.wav", Path(prefix + "target_img.wav"), Path(prefix + "interf_img.wav")]
+        write_wav(paths[0], AudioBuffer(read_wav(paths[1]).samples.mean(axis=0), FS), sample_format="float64")
+        relabelled = read_wav(paths[position])
+        write_wav(paths[position], AudioBuffer(relabelled.samples, FS // 2), sample_format="float64")
+        report = tmp_path / "report.csv"
+        assert main(["eval", *map(str, paths), "--report", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("audiozoom: sample rates must match: ")
+        assert f" {FS // 2} Hz" in err and f" {FS} Hz" in err
+        assert not report.exists()
 
     def test_negative_max_shift_is_usage_error(self, tmp_path, capsys):
         prefix = self._scene_files(tmp_path, capsys, seed=43, duration=1.0)

@@ -349,6 +349,29 @@ class TestScenarioParsing:
             parse_scenario(path)
         assert str(err.value) == f"{path}:2: {tmp_path / message}"
 
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            "sir_db=inf",
+            "sensor_noise_snr_db=nan",
+            "spacing_m=inf",
+            "spacing_m=0",
+            "sound_speed=-3",
+            "seed=-1",
+            "sensor_noise_snr_db=30\nseed=-1",
+        ],
+    )
+    def test_rejected_value_names_its_line_and_key(self, scene_dir, lines):
+        # The last line is the bad one; a negative seed is bad with or without noise.
+        path = scene_dir / "scene.txt"
+        path.write_text(f"target=target.wav,90\n{lines}\n")
+        key, value = lines.splitlines()[-1].split("=")
+        with pytest.raises(ValueError) as err:
+            parse_scenario(path)
+        lineno = 1 + len(lines.splitlines())
+        assert str(err.value).startswith(f"{path}:{lineno}: {key}: expected a ")
+        assert str(err.value).endswith(f", got {value!r}")
+
     def test_error_carries_line_number(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("target=t.wav,90\nnot a line\n")
