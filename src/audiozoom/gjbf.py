@@ -261,6 +261,21 @@ def _power_score_db(fixed_power: float, z: np.ndarray) -> float:
         return float(10.0 * (np.log10(fixed_power) - np.log10(power)))
 
 
+def sweep_lengths(candidates) -> tuple:
+    """The distinct candidate filter lengths of a sweep, in input order.
+
+    Each must be an integer >= 1 (NumPy integers too, floats never), and at
+    least two must differ; ValueError otherwise.
+    """
+    candidates = tuple(candidates)
+    if not all(isinstance(c, (int, np.integer)) and c >= 1 for c in candidates):
+        raise ValueError(f"candidate lengths must be integers >= 1, got {candidates}")
+    lengths = tuple(dict.fromkeys(int(c) for c in candidates))
+    if len(lengths) < 2:
+        raise ValueError("need at least two candidate lengths that differ")
+    return lengths
+
+
 def select_filter_length(
     ch1: AudioBuffer,
     ch2: AudioBuffer,
@@ -269,6 +284,7 @@ def select_filter_length(
 ) -> tuple:
     """Sweep candidate filter lengths and keep the one with the least output power.
 
+    The candidates must pass sweep_lengths, checked before any runs.
     Duplicates are dropped; each candidate runs in turn with config at its
     own length: the alignment follows the length, and so does the block
     unless config.block_size sets it. Each scores its output power against
@@ -278,9 +294,7 @@ def select_filter_length(
     smaller length, and z and state are the winning run's output and
     AdaptiveFilterState, as fdaf_gjbf returns them for that length.
     """
-    candidates = list(dict.fromkeys(int(c) for c in candidates))
-    if len(candidates) < 2:
-        raise ValueError("need at least two candidate lengths")
+    candidates = sweep_lengths(candidates)
 
     x1, x2 = _paired_mono(ch1, ch2)
     with np.errstate(over="ignore"):  # each candidate rejects an overflowed power

@@ -110,7 +110,12 @@ def stage_scores(output, target, reference, max_shift: int = MAX_SHIFT) -> tuple
     return osinr_db(target, residual), mse_db(output, reference, max_shift)
 
 
-def decompose_linear(stage, target_image, residual_image, mixture_output, rtol: float = 1e-6):
+SUPERPOSITION_RTOL = 1e-6  # relative gap allowed where two parts must sum to a whole
+
+
+def decompose_linear(
+    stage, target_image, residual_image, mixture_output, rtol: float = SUPERPOSITION_RTOL
+):
     """Run a frozen linear stage on each ground-truth image.
 
     Superposition is verified: stage(target) + stage(residual) must match

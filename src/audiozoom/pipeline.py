@@ -12,8 +12,15 @@ import numpy as np
 
 from .blockthresh import BlockGrid, BlockThresholdParams, block_threshold_gains, residual_variance
 from .dsp import AudioBuffer, Spectrogram, StftParams, istft, stft
-from .gjbf import AdaptiveFilterState, GjbfConfig, apply_gjbf, fdaf_gjbf, select_filter_length
-from .metrics import EvalReport, decompose_linear, osinr_db, stage_scores
+from .gjbf import (
+    AdaptiveFilterState,
+    GjbfConfig,
+    apply_gjbf,
+    fdaf_gjbf,
+    select_filter_length,
+    sweep_lengths,
+)
+from .metrics import SUPERPOSITION_RTOL, EvalReport, decompose_linear, osinr_db, stage_scores
 from .mpdr import MpdrWeights, apply_mpdr, design_mpdr
 
 BEAMFORMERS = ("mpdr", "gjbf")
@@ -36,6 +43,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.beamformer not in BEAMFORMERS:
             raise ValueError(f"beamformer must be one of {BEAMFORMERS}")
+        if self.gjbf_auto_lengths is not None:
+            sweep_lengths(self.gjbf_auto_lengths)
 
 
 @dataclass
@@ -90,7 +99,7 @@ def run_zoom(mixture: AudioBuffer, config: PipelineConfig = PipelineConfig()) ->
         weights = design_mpdr(y1, y2, alpha=config.mpdr_alpha)
         z_spec = apply_mpdr(y1, y2, weights)
     else:
-        if config.gjbf_auto_lengths:
+        if config.gjbf_auto_lengths is not None:
             _, curve, beamformed, state = select_filter_length(
                 ch1, ch2, config.gjbf_auto_lengths, config.gjbf
             )
@@ -154,6 +163,19 @@ def _check_image(name: str, image: AudioBuffer, mixture: AudioBuffer) -> None:
             raise ValueError(f"{name} does not fit the mixture: {got} {unit}, expected {want}")
 
 
+def _check_images_add_up(target_image, residual_image, mixture: AudioBuffer) -> None:
+    # A norm that overflows leaves the level to run_zoom's own overflow checks.
+    with np.errstate(over="ignore"):
+        gap = target_image.samples + residual_image.samples  # the one mixture-sized temporary
+        gap -= mixture.samples
+        gap, scale = float(np.linalg.norm(gap)), float(np.linalg.norm(mixture.samples))
+    if gap > SUPERPOSITION_RTOL * scale:
+        raise ValueError(
+            "target_image + residual_image does not add up to the mixture: relative gap "
+            f"{gap / scale if scale else np.inf:.3e}, allowed {SUPERPOSITION_RTOL:g}"
+        )
+
+
 def evaluate_scene(
     mixture: AudioBuffer,
     target_image: AudioBuffer,
@@ -172,6 +194,7 @@ def evaluate_scene(
     """
     _check_image("target_image", target_image, mixture)
     _check_image("residual_image", residual_image, mixture)
+    _check_images_add_up(target_image, residual_image, mixture)
     result = run_zoom(mixture, config)
     length = mixture.length
     mpdr = config.beamformer == "mpdr"

@@ -87,6 +87,15 @@ class TestRunZoom:
         assert np.array_equal(auto.beamformed.samples, fixed.beamformed.samples)
         assert np.array_equal(auto.gjbf_state.trajectory, fixed.gjbf_state.trajectory)
 
+    @pytest.mark.parametrize("lengths", [(0, 64, 128), (-5, 64), (64.9, 128), (), (64,), (64, 64)])
+    def test_sweep_the_cli_refuses_is_value_error_at_construction(self, lengths):
+        with pytest.raises(ValueError, match="candidate lengths"):
+            PipelineConfig(beamformer="gjbf", gjbf_auto_lengths=lengths)
+
+    def test_numpy_integer_sweep_lengths_are_accepted(self):
+        config = PipelineConfig(beamformer="gjbf", gjbf_auto_lengths=(np.int64(64), np.int32(128)))
+        assert gjbf.sweep_lengths(config.gjbf_auto_lengths) == (64, 128)
+
     def test_report_gain_identity(self):
         scene = default_scene(seed=23, duration_s=1.0)
         report, _ = evaluate_scene(
@@ -180,6 +189,25 @@ class TestFrozenStage:
         for name, images in (("target_image", (misfit, residual)), ("residual_image", (image, misfit))):
             with pytest.raises(ValueError, match=f"^{name} does not fit the mixture: .* {kind}, expected "):
                 evaluate_scene(scene.mixture, *images, config)
+
+    @pytest.mark.parametrize("scale", [1.01, 2])
+    @pytest.mark.parametrize("beamformer", ["mpdr", "gjbf"])
+    def test_images_that_do_not_add_up_to_the_mixture_are_value_error(
+        self, monkeypatch, beamformer, scale
+    ):
+        scene = default_scene(seed=3, duration_s=1.0)
+        target = AudioBuffer(scale * scene.target_image.samples, FS)
+        residual = scene.interference_plus_noise
+        monkeypatch.setattr(pipeline, "run_zoom", None)  # the images are checked before any run
+        match = r"^target_image \+ residual_image does not add up to the mixture: relative gap "
+        with pytest.raises(ValueError, match=match):
+            evaluate_scene(scene.mixture, target, residual, PipelineConfig(beamformer=beamformer))
+
+    def test_mixture_rounded_to_float32_still_adds_up(self):
+        # The benchmark scores a mixture read back from a float32 WAV: a relative gap near 2.5e-8.
+        scene = default_scene(seed=3, duration_s=1.0)
+        mixture = AudioBuffer(scene.mixture.samples.astype(np.float32), FS)
+        evaluate_scene(mixture, scene.target_image, scene.interference_plus_noise)
 
 
 class TestPostFilterScore:

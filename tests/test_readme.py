@@ -1,10 +1,11 @@
 """README's walkthrough runs as written: its snippets, its scenario and its commands."""
 
+import argparse
 import re
 import shlex
 from pathlib import Path
 
-from audiozoom.cli import _SETTINGS, main
+from audiozoom.cli import _SETTINGS, build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 FENCE = re.compile(r"^```(\w*)\n(.*?)^```", re.MULTILINE | re.DOTALL)
@@ -51,3 +52,13 @@ def test_flag_table_names_every_pipeline_flag():
     rows = [line.split("|")[1] for line in table.splitlines() if line.startswith("| `")]
     named = [flag for row in rows for flag in re.findall(r"--[\w-]+", row)]
     assert sorted(named) == sorted(flag for _, flag, _, _ in _SETTINGS)
+
+
+def test_subcommand_list_names_every_subcommand():
+    text = README.read_text(encoding="utf-8")
+    sentence = re.search(r"entry point has (\w+) subcommands: (.*?)\.", text, re.DOTALL)
+    assert sentence, "README names no subcommand list"
+    count, named = sentence.group(1), re.findall(r"`(\w+)`", sentence.group(2))
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert named == list(subparsers.choices)
+    assert count == ("one", "two", "three", "four", "five")[len(named) - 1]

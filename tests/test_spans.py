@@ -122,6 +122,34 @@ class TestRunSpans:
         dsp._run_spans(lambda first, last: time.sleep(0.01), [(0, 1), (1, 2), (2, 3)])
         assert threading.active_count() == before
 
+    def test_caller_span_error_is_raised_after_the_other_spans_end(self):
+        before = threading.active_count()
+        started = threading.Barrier(3, timeout=5)
+        finished = []
+
+        def work(first, last):
+            started.wait()  # every span is running before span 0 fails
+            if first == 0:
+                raise ValueError("span 0")
+            time.sleep(0.05)
+            finished.append(first)
+
+        with pytest.raises(ValueError, match="span 0"):
+            dsp._run_spans(work, [(0, 1), (1, 2), (2, 3)])
+        assert sorted(finished) == [1, 2]
+        assert threading.active_count() == before
+
+    def test_base_exception_in_a_worker_span_reaches_the_caller(self):
+        class Stop(BaseException):
+            pass
+
+        def work(first, last):
+            if first == 1:
+                raise Stop("span 1")
+
+        with pytest.raises(Stop, match="span 1"):
+            dsp._run_spans(work, [(0, 1), (1, 2), (2, 3)])
+
 
 class TestEachChunk:
     FRAMES = 626
