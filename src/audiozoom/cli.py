@@ -16,6 +16,7 @@ from operator import attrgetter
 import numpy as np
 
 from .dsp import WINDOW_KINDS, AudioBuffer
+from .gjbf import sweep_lengths
 from .metrics import MAX_SHIFT, EvalReport, align_delay_and_scale, osinr_db, stage_scores
 from .pipeline import BEAMFORMERS, DEFAULT_SWEEP_LENGTHS, PipelineConfig, normalize_peak, run_zoom
 from .simulate import key_value_lines, parse_scenario, synthesize_mixture
@@ -54,11 +55,11 @@ def _parse_lengths(text: str) -> tuple:
     try:
         lengths = tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError:
-        lengths = ()
-    if not lengths or min(lengths) < 1:
-        raise argparse.ArgumentTypeError(f"expected comma-separated positive integers, got {text!r}")
-    if len(set(lengths)) < 2:
-        raise argparse.ArgumentTypeError(f"need at least two distinct lengths, got {text!r}")
+        lengths = ()  # refused by sweep_lengths like an empty list
+    try:
+        sweep_lengths(lengths, shown=text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     return lengths
 
 

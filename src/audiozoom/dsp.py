@@ -7,7 +7,7 @@ import copy
 import functools
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,27 +46,38 @@ def _spans(frames: int, size: int | None = None) -> list:
 
 def _run_spans(work, spans: list) -> None:
     """Run work(start, stop) for every span: the first on this thread, the rest
-    on a pool made for the call, whose workers are joined before it returns.
+    on threads joined before returning.
 
     Each span runs under this thread's NumPy error state (np.errstate does not
-    reach other threads). Once every span has ended, the first exception in
+    reach other threads). After every thread is joined, the first exception in
     span order is raised again.
     """
-    first, *rest = spans
-    if not rest:
-        work(*first)
+    if len(spans) == 1:
+        work(*spans[0])
         return
     state, call = np.geterr(), np.geterrcall()
+    errors = [None] * len(spans)
 
-    def run(span):
-        with np.errstate(call=call, **state):
-            work(*span)
+    def run(index):
+        try:
+            with np.errstate(call=call, **state):
+                work(*spans[index])
+        except BaseException as exc:  # noqa: BLE001 - raised again on the calling thread
+            errors[index] = exc
 
-    with ThreadPoolExecutor(len(rest)) as pool:  # leaving the block joins every worker
-        futures = [pool.submit(run, span) for span in rest]
-        work(*first)
-    for future in futures:
-        future.result()
+    threads = []
+    try:
+        for index in range(1, len(spans)):
+            thread = threading.Thread(target=run, args=(index,))
+            thread.start()
+            threads.append(thread)
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 def _chunk_frames(spans: int, frame_bytes: int) -> int:

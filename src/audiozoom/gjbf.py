@@ -261,18 +261,20 @@ def _power_score_db(fixed_power: float, z: np.ndarray) -> float:
         return float(10.0 * (np.log10(fixed_power) - np.log10(power)))
 
 
-def sweep_lengths(candidates) -> tuple:
+def sweep_lengths(candidates, shown=None) -> tuple:
     """The distinct candidate filter lengths of a sweep, in input order.
 
     Each must be an integer >= 1 (NumPy integers too, floats never), and at
-    least two must differ; ValueError otherwise.
+    least two must differ; otherwise ValueError, quoting shown (by default
+    the candidates).
     """
     candidates = tuple(candidates)
-    if not all(isinstance(c, (int, np.integer)) and c >= 1 for c in candidates):
-        raise ValueError(f"candidate lengths must be integers >= 1, got {candidates}")
+    shown = candidates if shown is None else shown
+    if not candidates or not all(isinstance(c, (int, np.integer)) and c >= 1 for c in candidates):
+        raise ValueError(f"expected comma-separated positive integers, got {shown!r}")
     lengths = tuple(dict.fromkeys(int(c) for c in candidates))
     if len(lengths) < 2:
-        raise ValueError("need at least two candidate lengths that differ")
+        raise ValueError(f"need at least two candidate lengths that differ, got {shown!r}")
     return lengths
 
 
@@ -284,10 +286,10 @@ def select_filter_length(
 ) -> tuple:
     """Sweep candidate filter lengths and keep the one with the least output power.
 
-    The candidates must pass sweep_lengths, checked before any runs.
-    Duplicates are dropped; each candidate runs in turn with config at its
-    own length: the alignment follows the length, and so does the block
-    unless config.block_size sets it. Each scores its output power against
+    The candidates must pass sweep_lengths, checked before any runs. Each
+    distinct candidate runs in turn with config at its own length: the
+    alignment follows the length, and so does the block unless
+    config.block_size sets it. Each scores its output power against
     the fixed path's, in dB (higher is better), the quantity the adaptive
     path minimises. Returns (best_length, curve, z, state): curve
     lists (length, score_db) per candidate in input order, ties go to the

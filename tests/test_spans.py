@@ -7,10 +7,13 @@ on any host.
 """
 
 import dataclasses
+import os
+import subprocess
 import sys
 import threading
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,6 +152,26 @@ class TestRunSpans:
 
         with pytest.raises(Stop, match="span 1"):
             dsp._run_spans(work, [(0, 1), (1, 2), (2, 3)])
+
+    def test_spans_run_after_the_main_thread_has_returned(self):
+        # concurrent.futures takes no new work once the main thread has
+        # returned; a script's worker thread may still be zooming then.
+        code = (
+            "import threading\n"
+            "from audiozoom import dsp\n"
+            "def late():\n"
+            "    threading.main_thread().join()\n"
+            "    seen = []\n"
+            "    dsp._run_spans(lambda first, last: seen.append(first), [(0, 1), (1, 2)])\n"
+            "    print(sorted(seen))\n"
+            "threading.Thread(target=late).start()\n"
+        )
+        src = str(Path(dsp.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (out.returncode, out.stdout, out.stderr) == (0, "[0, 1]\n", "")
 
 
 class TestEachChunk:
